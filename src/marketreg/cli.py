@@ -1,30 +1,17 @@
 """Command-line entry point: analyze data files, simulate paths, self-test.
 
-Exit codes: 0 success, 2 input error, 3 estimation error, 4 selftest failure.
+Exit codes: 0 success, 2 input error (bad data, columns or simulate parameters,
+including a simulated volume past int64), 3 estimation error, 4 selftest failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    DegenerateFit,
-    DegenerateInput,
-    DegenerateX,
-    DuplicateDate,
-    EmptySeries,
-    InsufficientData,
-    MalformedRow,
-    MarketRegError,
-    NonPositivePrice,
-    NoVolumeData,
-    PathRejectionLimit,
-    UnknownColumn,
-)
+from .errors import MarketRegError
 from .estimators import DEFAULT_BIN_WIDTH, analyze_index
 from .ingest import IngestConfig, parse_daily_path, write_daily_file
 from .report import display_row, report_payload, write_plot_files, write_report_atomic
@@ -33,22 +20,10 @@ from .simulate import GbmParams, VolatilitySchedule, simulate_gbm, simulate_volu
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_ESTIMATION = 3
 EXIT_SELFTEST = 4
 
 # Parameters drift with window length; two decades is the intended regime.
 SHORT_SERIES_WARNING = 1000
-
-_INPUT_ERRORS = (MalformedRow, DuplicateDate, EmptySeries, UnknownColumn)
-_ESTIMATION_ERRORS = (
-    NonPositivePrice,
-    InsufficientData,
-    DegenerateX,
-    DegenerateInput,
-    DegenerateFit,
-    NoVolumeData,
-    PathRejectionLimit,
-)
 
 
 @dataclass
@@ -96,17 +71,14 @@ def run_analyze(config: RunConfig) -> int:
     """Parse and analyze every input, then write report.json (atomically) and,
     on request, the six plot-ready TSV files per index."""
     ingest_cfg = config.ingest_config()
-
-    def load(path: Path):
+    series_list = []
+    for path in config.input_paths:
         try:
-            return parse_daily_path(path, ingest_cfg)
+            series_list.append(parse_daily_path(path, ingest_cfg))
         except FileNotFoundError:
             raise _CliFailure(EXIT_INPUT, f"{path}: file not found") from None
-        except _INPUT_ERRORS as exc:
-            raise _CliFailure(EXIT_INPUT, f"{path}: {exc}") from None
-
-    with ThreadPoolExecutor(max_workers=min(8, len(config.input_paths))) as pool:
-        series_list = list(pool.map(load, config.input_paths))
+        except MarketRegError as exc:
+            raise _CliFailure(exc.exit_code, f"{path}: {exc}") from None
 
     for series in series_list:
         if len(series) < SHORT_SERIES_WARNING:
@@ -116,18 +88,18 @@ def run_analyze(config: RunConfig) -> int:
                 file=sys.stderr,
             )
 
-    def analyze(series):
+    reports = []
+    for series in series_list:
         try:
-            return analyze_index(
-                series,
-                bin_width=config.bin_width,
-                variance_fit_mode=config.variance_fit_mode,
+            reports.append(
+                analyze_index(
+                    series,
+                    bin_width=config.bin_width,
+                    variance_fit_mode=config.variance_fit_mode,
+                )
             )
-        except _ESTIMATION_ERRORS as exc:
-            raise _CliFailure(EXIT_ESTIMATION, f"{series.index_name}: {exc}") from None
-
-    with ThreadPoolExecutor(max_workers=min(8, len(series_list))) as pool:
-        reports = list(pool.map(analyze, series_list))
+        except MarketRegError as exc:
+            raise _CliFailure(exc.exit_code, f"{series.index_name}: {exc}") from None
 
     payload = report_payload(reports)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -285,15 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _ESTIMATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
     except MarketRegError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
 
 def entrypoint() -> None:

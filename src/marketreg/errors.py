@@ -2,14 +2,24 @@
 
 
 class MarketRegError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose.
+
+    ``exit_code`` is the command line's exit status on it: 2 for bad input."""
+
+    exit_code = 2
 
 
-class NonPositivePrice(MarketRegError):
+class EstimationError(MarketRegError):
+    """The data cannot support the requested computation (exit status 3)."""
+
+    exit_code = 3
+
+
+class NonPositivePrice(EstimationError):
     """A price that must be positive was zero or negative (corrupt input)."""
 
 
-class InsufficientData(MarketRegError):
+class InsufficientData(EstimationError):
     """Not enough observations to carry out the requested computation."""
 
 
@@ -42,21 +52,27 @@ class UnknownColumn(MarketRegError):
         super().__init__(f"column {name!r} not found in header")
 
 
-class DegenerateX(MarketRegError):
+class DegenerateX(EstimationError):
     """All x values identical; no line can be fitted."""
 
 
-class DegenerateInput(MarketRegError):
+class DegenerateInput(EstimationError):
     """Correlation is undefined for constant or mismatched inputs."""
 
 
-class DegenerateFit(MarketRegError):
+class DegenerateFit(EstimationError):
     """The offset-Gaussian amplitude cannot be estimated for this input."""
 
 
-class NoVolumeData(MarketRegError):
+class NoVolumeData(EstimationError):
     """Fewer than two records carry a positive traded volume."""
 
 
 class PathRejectionLimit(MarketRegError):
     """Too many consecutive rejected steps while simulating a price path."""
+
+    exit_code = 3
+
+
+class VolumeOverflow(MarketRegError):
+    """A simulated volume count would not fit a 64-bit integer."""

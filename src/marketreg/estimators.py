@@ -32,6 +32,7 @@ from .series import (
     DailySeries,
     FluctuationSeries,
     MonthlyAggregate,
+    log_volumes,
     monthly_aggregates,
 )
 
@@ -152,6 +153,7 @@ class RegularityReport:
     n_months: int
     bin_width: float
     variance_fit_mode: str
+    min_days_per_month: int = MIN_DAYS_PER_MONTH
     gaussian: GaussianOffsetFit | None = None
     diagnostics: dict[str, FitResult] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
@@ -178,10 +180,14 @@ def linear_least_squares(points, through_origin: bool = False) -> FitResult:
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (x, y) pairs")
-    n = pts.shape[0]
+    return _fit_line(pts[:, 0], pts[:, 1], through_origin)
+
+
+def _fit_line(x: np.ndarray, y: np.ndarray, through_origin: bool = False) -> FitResult:
+    """``linear_least_squares`` over the float arrays of x and y."""
+    n = x.shape[0]
     if n < 2:
         raise InsufficientData("a line fit needs at least 2 points")
-    x, y = pts[:, 0], pts[:, 1]
 
     if through_origin:
         sxx = float(np.dot(x, x))
@@ -219,10 +225,10 @@ def fit_daily_growth(series: DailySeries) -> tuple[float, FitResult]:
     Fits ln(close) against the trading-day index; the slope times 100 is the
     growth rate. Exact exponential input is recovered exactly.
     """
-    closes = series.closes()
+    closes = series.close
     if np.any(closes <= 0):
         raise NonPositivePrice("series contains a nonpositive close")
-    fit = linear_least_squares(zip(range(len(series)), np.log(closes)))
+    fit = _fit_line(np.arange(len(series), dtype=float), np.log(closes))
     return 100.0 * fit.slope, fit
 
 
@@ -230,12 +236,12 @@ def daily_fluctuations(series: DailySeries) -> FluctuationSeries:
     """Daily percentage change of the close with respect to the previous day."""
     if len(series) < 2:
         raise InsufficientData("need at least 2 records for fluctuations")
-    closes = series.closes()
+    closes = series.close
     prev = closes[:-1]
     if np.any(prev <= 0):
         raise NonPositivePrice("previous-day close <= 0, fluctuation undefined")
     values = 100.0 * (closes[1:] - prev) / prev
-    return FluctuationSeries(tuple(values), series.index_name)
+    return FluctuationSeries(values, series.index_name)
 
 
 def fluctuation_moments(fluct: FluctuationSeries) -> tuple[float, float]:
@@ -347,14 +353,10 @@ def fit_volume_growth(series: DailySeries) -> tuple[float, FitResult]:
     Only records with a positive volume enter the fit; their x coordinate is
     the trading-day index in the full series.
     """
-    points = [
-        (t, math.log(rec.volume))
-        for t, rec in enumerate(series.records)
-        if rec.volume is not None and rec.volume > 0
-    ]
-    if len(points) < 2:
+    t, ln_volume = log_volumes(series)
+    if len(t) < 2:
         raise NoVolumeData("fewer than 2 records with positive volume")
-    fit = linear_least_squares(points)
+    fit = _fit_line(t.astype(float), ln_volume)
     return 100.0 * fit.slope, fit
 
 
@@ -435,6 +437,7 @@ def analyze_index(
         n_months=len(aggregates),
         bin_width=bin_width,
         variance_fit_mode=variance_fit_mode,
+        min_days_per_month=min_days_per_month,
         gaussian=gaussian,
         diagnostics=diagnostics,
         errors=errors,

@@ -17,10 +17,13 @@ from datetime import date as Date
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DuplicateDate, EmptySeries, MalformedRow, UnknownColumn
-from .series import DailyRecord, DailySeries
+from .series import DailySeries, day_column
 
 DEFAULT_VOLUME_COLUMN = "Volume"
+ISO_DATE_FORMAT = "%Y-%m-%d"
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class IngestConfig:
     date_column: str = "Date"
     price_column: str = "Close"
     volume_column: str | None = None
-    date_format: str = "%Y-%m-%d"
+    date_format: str = ISO_DATE_FORMAT
     delimiter: str = ","
     decimal_comma: bool = False
 
@@ -110,7 +113,23 @@ def _parse_volume(cell: str, line_no: int) -> int | None:
         value = int(as_float)
     if value < 0:
         raise MalformedRow(line_no, f"negative volume {value}")
+    if value >= 2**63:
+        raise MalformedRow(line_no, f"volume {value} does not fit a 64-bit integer")
     return value
+
+
+def _parse_date(text: str, date_format: str) -> Date:
+    """``strptime(text, date_format)``. With the default format, a cell that is
+    exactly ASCII YYYY-MM-DD goes through the much faster ``date.fromisoformat``,
+    which agrees with strptime on that shape; fromisoformat alone would also
+    accept 20190401 and 2019-W14-1."""
+    iso_shaped = len(text) == 10 and text[4] == text[7] == "-" and text.isascii()
+    if date_format == ISO_DATE_FORMAT and iso_shaped:
+        try:
+            return Date.fromisoformat(text)
+        except ValueError:
+            pass
+    return datetime.strptime(text, date_format).date()
 
 
 def parse_daily_file(
@@ -130,54 +149,57 @@ def parse_daily_file(
     reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
 
     header: list[str] | None = None
-    parsed: list[tuple[Date, float, int | None, int]] = []
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise MalformedRow(reader.line_num, f"csv error: {exc}") from None
-        line_no = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue  # tolerate blank lines, they are not data rows
-        cells = [cell.strip() for cell in row]
-        if header is None:
-            header = cells
-            date_idx = _column_index(header, config.date_column)
-            price_idx = _column_index(header, config.price_column)
-            if config.volume_column is not None:
-                volume_idx = _column_index(header, config.volume_column)
-            else:
-                lowered = [h.lower() for h in header]
-                volume_idx = (
-                    lowered.index(DEFAULT_VOLUME_COLUMN.lower())
-                    if DEFAULT_VOLUME_COLUMN.lower() in lowered
-                    else None
+    ordinals, closes, volumes = [], [], []
+    try:
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue  # tolerate blank lines, they are not data rows
+            line_no = reader.line_num
+            if header is None:
+                header = cells
+                date_idx = _column_index(header, config.date_column)
+                price_idx = _column_index(header, config.price_column)
+                if config.volume_column is not None:
+                    volume_idx = _column_index(header, config.volume_column)
+                else:
+                    lowered = [h.lower() for h in header]
+                    volume_idx = (
+                        lowered.index(DEFAULT_VOLUME_COLUMN.lower())
+                        if DEFAULT_VOLUME_COLUMN.lower() in lowered
+                        else None
+                    )
+                needed = max(date_idx, price_idx, volume_idx if volume_idx is not None else 0)
+                continue
+
+            if len(cells) <= needed:
+                raise MalformedRow(
+                    line_no, f"expected at least {needed + 1} fields, got {len(cells)}"
                 )
-            continue
+            try:
+                ordinals.append(_parse_date(cells[date_idx], config.date_format).toordinal())
+            except ValueError:
+                raise MalformedRow(line_no, f"unparseable date {cells[date_idx]!r}") from None
+            closes.append(_parse_price(cells[price_idx], config, line_no))
+            volumes.append(
+                _parse_volume(cells[volume_idx], line_no) if volume_idx is not None else None
+            )
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, f"csv error: {exc}") from None
 
-        needed = max(date_idx, price_idx, volume_idx if volume_idx is not None else 0)
-        if len(cells) <= needed:
-            raise MalformedRow(line_no, f"expected at least {needed + 1} fields, got {len(cells)}")
-        try:
-            day = datetime.strptime(cells[date_idx], config.date_format).date()
-        except ValueError:
-            raise MalformedRow(line_no, f"unparseable date {cells[date_idx]!r}") from None
-        close = _parse_price(cells[price_idx], config, line_no)
-        volume = _parse_volume(cells[volume_idx], line_no) if volume_idx is not None else None
-        parsed.append((day, close, volume, line_no))
-
-    if header is None or not parsed:
+    if header is None or not ordinals:
         raise EmptySeries("no data rows found")
 
-    parsed.sort(key=lambda item: item[0])
-    for (d1, *_), (d2, *_) in zip(parsed, parsed[1:]):
-        if d1 == d2:
-            raise DuplicateDate(d1)
+    dates = day_column(ordinals)
+    order = np.argsort(dates, kind="stable")
+    dates = dates[order]
+    repeated = np.flatnonzero(dates[1:] == dates[:-1])
+    if repeated.size:
+        raise DuplicateDate(dates[repeated[0]].item())
 
-    records = tuple(DailyRecord(day, close, volume) for day, close, volume, _ in parsed)
-    return DailySeries(records, index_name)
+    return DailySeries.from_columns(
+        dates, np.array(closes)[order], np.asarray(volumes)[order], index_name
+    )
 
 
 def parse_daily_path(
@@ -196,14 +218,15 @@ def write_daily_file(series: DailySeries, dest) -> None:
     shortest decimal that reproduces the float exactly, and the Volume
     column is emitted only when at least one record carries a volume.
     """
-    with_volume = series.has_volume()
-    lines = ["Date,Close,Volume" if with_volume else "Date,Close"]
-    for rec in series.records:
-        base = f"{rec.date.isoformat()},{rec.close!r}"
-        if with_volume:
-            base += f",{rec.volume if rec.volume is not None else ''}"
-        lines.append(base)
-    payload = "\n".join(lines) + "\n"
+    header = "Date,Close"
+    columns = [
+        [day.isoformat() for day in series.dates.tolist()],
+        [repr(close) for close in series.close.tolist()],
+    ]
+    if series.has_volume():
+        header += ",Volume"
+        columns.append(["" if v is None else str(v) for v in series.volumes()])
+    payload = "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
     if hasattr(dest, "write"):
         dest.write(payload)
@@ -215,20 +238,16 @@ def validate_series(series: DailySeries) -> ValidationSummary:
     """Report record count, date span, bad prices, missing volumes and the
     largest single-day percentage move. Never raises on bad data: that is
     what it exists to count."""
-    closes = [r.close for r in series.records]
-    bad = sum(1 for c in closes if not (math.isfinite(c) and c > 0))
-    missing_vol = sum(1 for r in series.records if r.volume is None)
-    max_abs_delta: float | None = None
-    for prev, cur in zip(closes, closes[1:]):
-        if math.isfinite(prev) and prev > 0 and math.isfinite(cur):
-            delta = abs(100.0 * (cur - prev) / prev)
-            if max_abs_delta is None or delta > max_abs_delta:
-                max_abs_delta = delta
+    close = series.close
+    good = np.isfinite(close) & (close > 0)
+    prev, cur = close[:-1], close[1:]
+    pair = good[:-1] & np.isfinite(cur)
+    deltas = np.abs(100.0 * (cur[pair] - prev[pair]) / prev[pair])
     return ValidationSummary(
         n=len(series),
-        first_date=series.records[0].date,
-        last_date=series.records[-1].date,
-        bad_prices=bad,
-        missing_volumes=missing_vol,
-        max_abs_delta=max_abs_delta,
+        first_date=series.dates[0].item(),
+        last_date=series.dates[-1].item(),
+        bad_prices=int(np.count_nonzero(~good)),
+        missing_volumes=int(np.count_nonzero(~series.volume_mask)),
+        max_abs_delta=float(deltas.max()) if deltas.size else None,
     )

@@ -15,7 +15,6 @@ plotting tool can redraw the six standard views.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
@@ -29,7 +28,7 @@ from .estimators import (
     daily_fluctuations,
     pearson_correlation,
 )
-from .series import DailySeries, log_series, monthly_aggregates
+from .series import DailySeries, log_series, log_volumes, monthly_aggregates
 
 
 def _display_number(x: float | None, decimals: int) -> str:
@@ -140,17 +139,11 @@ def _safe_name(name: str) -> str:
 
 
 def _write_tsv(path: Path, comments: list[str], header: list[str], columns: list) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append("\t".join(header))
-    for row in zip(*columns):
-        lines.append("\t".join(_cell(v) for v in row))
+    # str of a float is its shortest round-trip repr; every column holds
+    # Python ints, floats or strings.
+    lines = [f"# {c}" for c in comments] + ["\t".join(header)]
+    lines += ["\t".join(map(str, row)) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Path) -> list[Path]:
@@ -165,9 +158,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
     stem = _safe_name(report.index_name)
     written: list[Path] = []
 
-    logs = log_series(series)
-    t = np.array([p[0] for p in logs], dtype=float)
-    ln_close = np.array([p[1] for p in logs])
+    t, ln_close = log_series(series).T
     fit_a = report.diagnostics["daily_growth"]
     path = out_dir / f"{stem}_daily_log_price.tsv"
     _write_tsv(
@@ -221,7 +212,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
     )
     written.append(path)
 
-    aggregates = monthly_aggregates(series)
+    aggregates = monthly_aggregates(series, report.min_days_per_month)
     taus = np.array([agg.tau for agg in aggregates], dtype=float)
     fit_m = report.diagnostics["monthly_growth"]
     path = out_dir / f"{stem}_monthly_mean_log.tsv"
@@ -261,13 +252,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
     written.append(path)
 
     if "volume_growth" in report.diagnostics:
-        pts = [
-            (k, math.log(rec.volume))
-            for k, rec in enumerate(series.records)
-            if rec.volume is not None and rec.volume > 0
-        ]
-        tv = np.array([p[0] for p in pts], dtype=float)
-        ln_vol = [p[1] for p in pts]
+        tv, ln_vol = log_volumes(series)
         fit_v = report.diagnostics["volume_growth"]
         path = out_dir / f"{stem}_daily_log_volume.tsv"
         _write_tsv(
@@ -278,7 +263,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
                 f"fit: ln_volume = intercept + slope*t; slope_pct_per_day = {report.nu!r}",
             ],
             ["t_days", "ln_volume", "fit_ln_volume"],
-            [tv.astype(int).tolist(), ln_vol, fit_v.predict(tv).tolist()],
+            [tv.tolist(), ln_vol.tolist(), fit_v.predict(tv).tolist()],
         )
         written.append(path)
 

@@ -25,13 +25,13 @@ from .estimators import (
 )
 from .ingest import parse_daily_file, write_daily_file
 from .report import render_report_json, report_payload
-from .series import DailyRecord, DailySeries
+from .series import DailySeries
 from .simulate import (
     GbmParams,
     VolatilitySchedule,
     simulate_gbm,
     simulate_volume,
-    synthetic_dates,
+    synthetic_days,
     wiener_increments,
 )
 
@@ -55,11 +55,8 @@ def _check(name: str, observed: str, bound: str, passed: bool) -> CheckResult:
 
 
 def _exact_exponential_series(alpha: float, n_days: int, s0: float = 1000.0) -> DailySeries:
-    records = tuple(
-        DailyRecord(day, s0 * math.exp(alpha * k))
-        for k, day in enumerate(synthetic_dates(n_days))
-    )
-    return DailySeries(records, "exact-exponential")
+    closes = [s0 * math.exp(alpha * k) for k in range(n_days)]
+    return DailySeries.from_columns(synthetic_days(n_days), closes, index_name="exact-exponential")
 
 
 def run_selftest(

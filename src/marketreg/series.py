@@ -8,7 +8,6 @@ give a usable dispersion estimate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -40,55 +39,102 @@ class DailyRecord:
             raise ValueError(f"volume must be >= 0, got {self.volume}")
 
 
-@dataclass(frozen=True)
-class DailySeries:
-    """Ordered daily records for one index.
+# date.toordinal() counts days from 0001-01-01, datetime64[D] from 1970-01-01.
+_EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()
+_DAY_RANGE = np.array([Date.min, Date.max], dtype="datetime64[D]")
 
-    The trading-day index of ``records[k]`` is k; ``t_origin`` is the
-    calendar date of t = 0. Dates must be strictly increasing. Instances are
-    immutable; every operation on them is a pure function.
+
+def day_column(ordinals) -> np.ndarray:
+    """``datetime64[D]`` column of the dates with the given ``toordinal()`` values."""
+    return (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class DailySeries:
+    """Ordered daily closes, and optionally volumes, of one index as read-only columns.
+
+    ``dates`` is ``datetime64[D]``, ``close`` float64, ``volume`` int64 and
+    ``volume_mask`` false (with ``volume`` 0) where no volume was reported.
+    Row k is trading day t = k; dates must be strictly increasing.
+    ``DailySeries(records, index_name)`` converts DailyRecord values.
     """
 
-    records: tuple[DailyRecord, ...]
-    index_name: str = "unnamed"
+    dates: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+    volume_mask: np.ndarray
+    index_name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
+    def __init__(self, records, index_name: str = "unnamed"):
+        records = tuple(records)
+        dates = day_column([r.date.toordinal() for r in records])
+        self._set(dates, [r.close for r in records], [r.volume for r in records], index_name)
+
+    @classmethod
+    def from_columns(cls, dates, close, volumes=None, index_name: str = "unnamed") -> "DailySeries":
+        """Series from its columns; ``volumes`` holds None where no volume was reported."""
+        series = cls.__new__(cls)
+        series._set(dates, close, [None] * len(dates) if volumes is None else volumes, index_name)
+        return series
+
+    def _set(self, dates, close, volumes, index_name: str) -> None:
+        dates = np.array(dates, dtype="datetime64[D]")
+        volumes = np.asarray(volumes)
+        mask = np.not_equal(volumes, None)
+        columns = {"dates": dates, "close": np.array(close, dtype=float),
+                   "volume": np.where(mask, volumes, 0).astype(np.int64), "volume_mask": mask}
+        if len(dates) == 0:
             raise ValueError("a DailySeries needs at least one record")
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.date <= prev.date:
-                raise ValueError(
-                    f"dates must be strictly increasing, {cur.date} follows {prev.date}"
-                )
+        if any(len(column) != len(dates) for column in columns.values()):
+            raise ValueError("every column must have one entry per date")
+        later = np.flatnonzero(dates[1:] <= dates[:-1])
+        if later.size:
+            prev, cur = dates[later[0]].item(), dates[later[0] + 1].item()
+            raise ValueError(f"dates must be strictly increasing, {cur} follows {prev}")
+        if dates[0] < _DAY_RANGE[0] or dates[-1] > _DAY_RANGE[1]:
+            raise ValueError(f"dates must lie within {Date.min} .. {Date.max}")
+        if np.any(columns["volume"] < 0):
+            raise ValueError("volume must be >= 0")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "index_name", index_name)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.dates)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DailySeries):
+            return NotImplemented
+        names = ("dates", "close", "volume", "volume_mask")
+        return self.index_name == other.index_name and all(
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in names
+        )
+
+    @property
+    def records(self) -> tuple[DailyRecord, ...]:
+        """The rows as DailyRecord values, built on each access."""
+        rows = zip(self.dates.tolist(), self.close.tolist(), self.volumes())
+        return tuple(DailyRecord(*row) for row in rows)
 
     @property
     def t_origin(self) -> Date:
         """Calendar date of trading day t = 0."""
-        return self.records[0].date
+        return self.dates[0].item()
 
     def closes(self) -> np.ndarray:
-        return np.array([r.close for r in self.records], dtype=float)
+        return self.close
 
     def volumes(self) -> list[int | None]:
-        return [r.volume for r in self.records]
+        return np.where(self.volume_mask, self.volume.astype(object), None).tolist()
 
     def has_volume(self) -> bool:
-        return any(r.volume is not None for r in self.records)
+        return bool(self.volume_mask.any())
 
     def with_volumes(self, volumes) -> "DailySeries":
-        """Copy of the series with the volume column replaced."""
-        volumes = list(volumes)
-        if len(volumes) != len(self.records):
-            raise ValueError("volume column length must match the series")
-        recs = tuple(
-            DailyRecord(r.date, r.close, None if v is None else int(v))
-            for r, v in zip(self.records, volumes)
-        )
-        return DailySeries(recs, self.index_name)
+        """Copy of the series with the volume column replaced; None marks a
+        volume that was not reported."""
+        return DailySeries.from_columns(self.dates, self.close, list(volumes), self.index_name)
 
 
 @dataclass(frozen=True)
@@ -103,9 +149,9 @@ class FluctuationSeries:
     source: str = "unnamed"
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not all(math.isfinite(v) for v in vals):
+        vals = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        if not np.all(np.isfinite(vals)):
             raise ValueError("every fluctuation must be finite")
 
     def __len__(self) -> int:
@@ -141,19 +187,25 @@ class MonthlyAggregate:
         return self.std_log**2
 
 
-def log_series(series: DailySeries) -> list[tuple[int, float]]:
-    """Natural log of each close against its trading-day index.
+def log_series(series: DailySeries) -> np.ndarray:
+    """Natural log of each close against its trading-day index, as an
+    (n, 2) array of (t, ln close) rows.
 
     Raises NonPositivePrice if any close is <= 0.
     """
-    out = []
-    for t, rec in enumerate(series.records):
-        if rec.close <= 0:
-            raise NonPositivePrice(
-                f"close at t={t} ({rec.date.isoformat()}) is {rec.close}"
-            )
-        out.append((t, math.log(rec.close)))
-    return out
+    bad = np.flatnonzero(series.close <= 0)
+    if bad.size:
+        t = int(bad[0])
+        raise NonPositivePrice(
+            f"close at t={t} ({series.dates[t].item().isoformat()}) is {series.close[t].item()}"
+        )
+    return np.column_stack((np.arange(len(series), dtype=float), np.log(series.close)))
+
+
+def log_volumes(series: DailySeries) -> tuple[np.ndarray, np.ndarray]:
+    """Trading-day index and natural log of every reported positive volume."""
+    t = np.flatnonzero(series.volume_mask & (series.volume > 0))
+    return t, np.log(series.volume[t].astype(float))
 
 
 def monthly_aggregates(
@@ -171,28 +223,19 @@ def monthly_aggregates(
     """
     if len(series) < 2:
         raise InsufficientData("need at least 2 records to aggregate monthly")
-    logs = log_series(series)
-    by_month: dict[tuple[int, int], list[float]] = {}
-    for (_, ln_close), rec in zip(logs, series.records):
-        by_month.setdefault((rec.date.year, rec.date.month), []).append(ln_close)
+    ln_close = log_series(series)[:, 1]
+    # Months since 1970-01.
+    months = series.dates.astype("datetime64[M]").astype(np.int64)
+    keys, group, n_days = np.unique(months, return_inverse=True, return_counts=True)
+    mean = np.bincount(group, weights=ln_close) / n_days
+    dev = ln_close - mean[group]
+    std = np.sqrt(np.bincount(group, weights=dev * dev) / n_days)  # population, ddof=0
 
-    out: list[MonthlyAggregate] = []
-    tau = 0
-    for key in sorted(by_month):
-        values = by_month[key]
-        if len(values) < min_days:
-            continue
-        arr = np.asarray(values)
-        out.append(
-            MonthlyAggregate(
-                tau=tau,
-                mean_log=float(arr.mean()),
-                std_log=float(arr.std()),  # population convention, ddof=0
-                n_days=len(values),
-                month=key,
-            )
-        )
-        tau += 1
-    if not out:
+    kept = np.flatnonzero(n_days >= min_days)
+    if not kept.size:
         raise InsufficientData(f"no calendar month has at least {min_days} trading days")
-    return out
+    columns = (keys[kept].tolist(), mean[kept].tolist(), std[kept].tolist(), n_days[kept].tolist())
+    return [
+        MonthlyAggregate(tau, mean_log, std_log, n, month=(1970 + key // 12, key % 12 + 1))
+        for tau, (key, mean_log, std_log, n) in enumerate(zip(*columns))
+    ]

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
-from scipy.special import ndtri
 
-from .errors import PathRejectionLimit
-from .series import DailyRecord, DailySeries
+from .errors import PathRejectionLimit, VolumeOverflow
+from .series import DailySeries
 
 TRADING_DAYS_PER_MONTH = 21
 EPOCH_YEAR = 2000
@@ -90,7 +89,10 @@ class VolatilitySchedule:
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     # Inverse-CDF over the generator's 53-bit uniforms; the clamp only guards
-    # the measure-zero u == 0 draw.
+    # the measure-zero u == 0 draw. scipy is imported here, not at module
+    # level, so that commands which never draw a number do not load it.
+    from scipy.special import ndtri
+
     u = np.maximum(rng.random(n), 2.0**-54)
     return ndtri(u)
 
@@ -108,14 +110,17 @@ def wiener_increments(n: int, dt: float = 1.0, seed: int = 0) -> np.ndarray:
     return _standard_normals(rng, n) * math.sqrt(dt)
 
 
+def synthetic_days(n: int) -> np.ndarray:
+    """Consecutive synthetic trading days, 21 per calendar month, from a fixed
+    epoch, as a ``datetime64[D]`` column."""
+    month_index, day = np.divmod(np.arange(n), TRADING_DAYS_PER_MONTH)
+    months = np.datetime64(f"{EPOCH_YEAR}-01", "M") + month_index
+    return months.astype("datetime64[D]") + day
+
+
 def synthetic_dates(n: int) -> list[Date]:
-    """Consecutive synthetic trading days, 21 per calendar month, from a fixed epoch."""
-    dates = []
-    for k in range(n):
-        month_index, day = divmod(k, TRADING_DAYS_PER_MONTH)
-        year, month = divmod(month_index, 12)
-        dates.append(Date(EPOCH_YEAR + year, month + 1, day + 1))
-    return dates
+    """``synthetic_days`` as a list of dates."""
+    return synthetic_days(n).tolist()
 
 
 def simulate_gbm(
@@ -155,11 +160,7 @@ def simulate_gbm(
             nxt = prices[k] * (1.0 + drift + b_levels[k] * dw)
         prices[k + 1] = nxt
 
-    records = tuple(
-        DailyRecord(day, float(price))
-        for day, price in zip(synthetic_dates(params.n_days), prices)
-    )
-    return DailySeries(records, index_name)
+    return DailySeries.from_columns(synthetic_days(params.n_days), prices, index_name=index_name)
 
 
 def simulate_volume(
@@ -168,7 +169,8 @@ def simulate_volume(
     """Synthetic daily transaction counts N_k = round(n0 * exp(nu*k + eta_k)).
 
     eta_k is zero-mean normal with standard deviation ``noise_sd``; counts
-    are nonnegative integers by construction.
+    are nonnegative integers by construction. Raises VolumeOverflow when a
+    count would not fit a 64-bit integer.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -178,6 +180,11 @@ def simulate_volume(
         raise ValueError("n_days must be >= 1")
     rng = np.random.default_rng(seed)
     eta = _standard_normals(rng, n_days) * noise_sd if noise_sd > 0 else np.zeros(n_days)
-    k = np.arange(n_days)
-    counts = np.rint(n0 * np.exp(nu * k + eta)).astype(np.int64)
-    return np.maximum(counts, 0)
+    counts = n0 * np.exp(nu * np.arange(n_days) + eta)
+    too_big = np.flatnonzero(~(counts < 2.0**63))
+    if too_big.size:
+        k = int(too_big[0])
+        raise VolumeOverflow(
+            f"n0*exp(nu*k + eta) = {counts[k]:.3e} at day {k} does not fit a 64-bit count"
+        )
+    return np.rint(counts).astype(np.int64)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import marketreg
+from marketreg import cli
 from marketreg.cli import main
+from marketreg.errors import MarketRegError
 from marketreg.estimators import analyze_index
 from marketreg.ingest import parse_daily_path
 from marketreg.report import (
@@ -77,6 +84,20 @@ class TestReportPayload:
 
 
 class TestPlotFiles:
+    def test_monthly_rows_follow_the_report_month_filter(self, tmp_path):
+        # The synthetic calendar has 21 trading days a month, so the path
+        # ends in a 5-day month that only min_days_per_month=5 keeps.
+        path = simulate_file(tmp_path, days=21 * 12 + 5, with_volume=False)
+        series = parse_daily_path(path)
+        rep = analyze_index(series, min_days_per_month=5)
+        assert rep.n_months != analyze_index(series).n_months
+        files = {f.name: f for f in write_plot_files(series, rep, tmp_path / "plots")}
+        for name in ("sim_monthly_mean_log.tsv", "sim_monthly_variance.tsv"):
+            lines = files[name].read_text().splitlines()
+            rows = [line for line in lines[1:] if not line.startswith("#")]
+            assert len(rows) - 1 == rep.n_months  # less the column header
+        assert "min_days" not in render_report_json(report_payload([rep]))
+
     def test_six_files_with_volume(self, tmp_path):
         path = simulate_file(tmp_path)
         series = parse_daily_path(path)
@@ -207,6 +228,14 @@ class TestAnalyzeCommand:
 
 
 class TestSimulateCommand:
+    def test_volume_overflow_exits_2_without_file(self, tmp_path, capsys):
+        out = tmp_path / "big.csv"
+        rc = main(["simulate", "--a", "0.0005", "--b", "0.015", "--s0", "1000",
+                   "--days", "1000", "--seed", "1", "--volume-nu", "0.05", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "64-bit" in capsys.readouterr().err
+
     def test_byte_identical_for_same_seed(self, tmp_path):
         p1 = simulate_file(tmp_path, name="a.csv", seed=99)
         p2 = simulate_file(tmp_path, name="b.csv", seed=99)
@@ -261,6 +290,30 @@ class TestSelftestCommand:
         results = run_selftest(drift_injection=0.5)
         failed = [r.name for r in results if not r.passed]
         assert failed == ["gbm_drift"]
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+@pytest.mark.parametrize("error", sorted(_all_subclasses(MarketRegError), key=lambda c: c.__name__))
+def test_every_error_maps_to_a_documented_exit_code(error):
+    estimation = {"EstimationError", "NonPositivePrice", "InsufficientData", "DegenerateX",
+                  "DegenerateInput", "DegenerateFit", "NoVolumeData", "PathRejectionLimit"}
+    assert error.exit_code == (3 if error.__name__ in estimation else 2)
+    assert f"{error.exit_code} " in cli.__doc__
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy is needed only to draw random numbers, which analyze never does.
+    src = str(Path(marketreg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, marketreg.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestArgparseBehaviour:

@@ -138,6 +138,46 @@ class TestParse:
         with pytest.raises(ValueError):
             IngestConfig(delimiter="\t")
 
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            ("2019-04-01", date(2019, 4, 1)),
+            ("2019-4-1", date(2019, 4, 1)),
+            ("2019-04-1", date(2019, 4, 1)),
+            ("2019-4-01", date(2019, 4, 1)),
+            ("0001-01-01", date(1, 1, 1)),
+        ],
+    )
+    def test_iso_dates_accepted_as_strptime_does(self, cell, expected):
+        s = parse_daily_file(f"Date,Close\n{cell},2\n")
+        assert s.t_origin == expected
+
+    @pytest.mark.parametrize(
+        "cell", ["20190401", "2019-W14-1", "2019-02-30", "2019-04-01T00:00", "2019-04-0\u0661"]
+    )
+    def test_non_strptime_dates_rejected_on_their_line(self, cell):
+        # date.fromisoformat alone would accept the first two.
+        with pytest.raises(MalformedRow) as exc:
+            parse_daily_file(f"Date,Close\n2019-04-01,1\n\n{cell},2\n")
+        assert exc.value.line_no == 4
+        assert "unparseable date" in str(exc.value)
+
+    def test_custom_date_format_still_uses_strptime(self):
+        s = parse_daily_file("Date,Close\n01/04/2019,1\n2/4/2019,2\n",
+                             IngestConfig(date_format="%d/%m/%Y"))
+        assert [r.date for r in s.records] == [date(2019, 4, 1), date(2019, 4, 2)]
+        with pytest.raises(MalformedRow) as exc:
+            parse_daily_file("Date,Close\n01/04/2019,1\n2019-04-02,2\n",
+                             IngestConfig(date_format="%d/%m/%Y"))
+        assert exc.value.line_no == 3
+
+    def test_volume_beyond_int64_rejected(self):
+        with pytest.raises(MalformedRow) as exc:
+            parse_daily_file(f"Date,Close,Volume\n2019-04-01,1,{2**63}\n")
+        assert exc.value.line_no == 2
+        largest = parse_daily_file(f"Date,Close,Volume\n2019-04-01,1,{2**63 - 1}\n")
+        assert largest.volumes() == [2**63 - 1]
+
     def test_parse_path_uses_stem(self, tmp_path):
         p = tmp_path / "NIFTY.csv"
         p.write_text(MINIMAL)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import month_dates, monthly_oracle, series_from_closes
 from marketreg.errors import InsufficientData, NonPositivePrice
+from marketreg.ingest import parse_daily_file
 from marketreg.series import (
     DailyRecord,
     DailySeries,
@@ -52,6 +53,29 @@ class TestTypes:
     def test_t_origin_is_first_date(self):
         s = series_from_closes([1.0, 2.0, 3.0])
         assert s.t_origin == s.records[0].date
+
+    def test_columns_are_read_only_arrays(self):
+        s = series_from_closes([1.0, 2.0, 3.0], volumes=[5, None, 7])
+        assert s.dates.dtype == np.dtype("datetime64[D]")
+        assert s.close.dtype == np.float64 and s.volume.dtype == np.int64
+        assert s.volume_mask.tolist() == [True, False, True]
+        assert s.volume.tolist() == [5, 0, 7]
+        for column in (s.dates, s.close, s.volume, s.volume_mask):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_from_columns_equals_records_constructor(self):
+        s = series_from_closes([1.0, 2.0, 3.0], name="x", volumes=[5, None, 7])
+        again = DailySeries.from_columns(s.dates, s.close, [5, None, 7], "x")
+        assert again == s
+        assert again.records == s.records
+        assert DailySeries(s.records, "y") != s
+
+    def test_order_error_names_both_dates(self):
+        with pytest.raises(ValueError, match="2019-01-01 follows 2019-01-02"):
+            DailySeries.from_columns(
+                np.array(["2019-01-02", "2019-01-01"], dtype="datetime64[D]"), [1.0, 2.0]
+            )
 
     def test_fluctuations_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -195,6 +219,22 @@ class TestMonthlyAggregates:
             assert abs((a2.mean_log - a1.mean_log) - math.log(c)) < 1e-12
             assert abs(a2.std_log - a1.std_log) < 1e-12
             assert a1.n_days == a2.n_days
+
+    def test_calendar_keys_over_four_centuries(self):
+        # Dates far before and after 1970 must land in the calendar month
+        # that date.year/date.month give; day numbers counted from
+        # 0001-01-01 read as days from 1970-01-01 would slip every key.
+        start = date(1650, 1, 1).toordinal()
+        days = [date.fromordinal(start + 3 * k + k % 2) for k in range(52_000)]
+        assert (days[-1] - days[0]).days > 400 * 365
+        closes = (100.0 + np.arange(len(days)) % 37).tolist()
+        text = "Date,Close\n" + "".join(f"{d.isoformat()},{c!r}\n" for d, c in zip(days, closes))
+        records = [DailyRecord(d, c) for d, c in zip(days, closes)]
+        for series in (parse_daily_file(text), DailySeries(records)):
+            aggs = monthly_aggregates(series, min_days=1)
+            oracle = monthly_oracle(series, min_days=1)
+            assert [(a.month, a.n_days) for a in aggs] == [(k, n) for k, _, _, n in oracle]
+            assert aggs[0].month == (1650, 1) and aggs[-1].month[0] >= 2050
 
     def test_partition_recovers_every_retained_day(self):
         series = simulate_gbm(GbmParams(a=5e-4, b=0.01, s0=500.0, n_days=130, seed=3))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketreg.errors import PathRejectionLimit
+from marketreg.errors import PathRejectionLimit, VolumeOverflow
 from marketreg.estimators import (
     analyze_index,
     daily_fluctuations,
@@ -190,6 +190,15 @@ class TestSimulateVolume:
             simulate_volume(0.0, 1e6, -0.1, 10, seed=1)
         with pytest.raises(ValueError):
             simulate_volume(0.0, 1e6, 0.0, 0, seed=1)
+
+    def test_int64_overflow_raises_instead_of_wrapping(self):
+        # 1e6*exp(4e-4*k) passes 2**63 near k = 74,600, where an unchecked
+        # int64 cast wraps and a clamp at zero turns the counts into zeros.
+        with pytest.raises(VolumeOverflow, match="day 74"):
+            simulate_volume(4e-4, 1e6, 0.0, 100_000, seed=1)
+        with pytest.raises(VolumeOverflow):
+            simulate_volume(float("nan"), 1e6, 0.0, 10, seed=1)
+        assert simulate_volume(4e-4, 1e6, 0.0, 74_000, seed=1).min() == 1_000_000
 
     def test_noisy_recovery_within_three_stderr(self):
         vols = simulate_volume(4e-4, 1e6, 0.2, 5000, seed=WIENER_SEED + 6)
