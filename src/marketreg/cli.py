@@ -1,7 +1,8 @@
 """Command-line entry point: analyze data files, simulate paths, self-test.
 
 Exit codes: 0 success, 2 input error (bad data, columns or simulate parameters,
-including a simulated volume past int64), 3 estimation error, 4 selftest failure.
+including a simulated price past float64 or volume past int64), 3 estimation
+error, 4 selftest failure.
 """
 
 from __future__ import annotations

@@ -68,6 +68,11 @@ class NoVolumeData(EstimationError):
     """Fewer than two records carry a positive traded volume."""
 
 
+class NonFinitePrice(MarketRegError):
+    """A price is infinite or NaN: a simulated path overflowed float64, or a
+    series was built with such a close."""
+
+
 class PathRejectionLimit(MarketRegError):
     """Too many consecutive rejected steps while simulating a price path."""
 

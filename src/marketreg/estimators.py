@@ -32,6 +32,7 @@ from .series import (
     DailySeries,
     FluctuationSeries,
     MonthlyAggregate,
+    finite_closes,
     log_volumes,
     monthly_aggregates,
 )
@@ -169,6 +170,13 @@ class RegularityReport:
         return self.sigma / 100.0
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of x*y by numpy's pairwise summation. np.dot would hand long vectors
+    to BLAS, whose rounding depends on its thread count and whose threads keep
+    spinning after the call."""
+    return float(np.sum(x * y))
+
+
 def linear_least_squares(points, through_origin: bool = False) -> FitResult:
     """Ordinary least squares over (x, y) pairs.
 
@@ -190,27 +198,27 @@ def _fit_line(x: np.ndarray, y: np.ndarray, through_origin: bool = False) -> Fit
         raise InsufficientData("a line fit needs at least 2 points")
 
     if through_origin:
-        sxx = float(np.dot(x, x))
+        sxx = _dot(x, x)
         if sxx == 0.0:
             raise DegenerateX("all x values are zero")
-        slope = float(np.dot(x, y)) / sxx
+        slope = _dot(x, y) / sxx
         intercept = 0.0
         resid = y - slope * x
-        sse = float(np.dot(resid, resid))
-        syy = float(np.dot(y, y))
+        sse = _dot(resid, resid)
+        syy = _dot(y, y)
         r2 = 1.0 if syy == 0.0 else 1.0 - sse / syy
         dof = n - 1
     else:
         xm, ym = x.mean(), y.mean()
         dx, dy = x - xm, y - ym
-        sxx = float(np.dot(dx, dx))
+        sxx = _dot(dx, dx)
         if sxx == 0.0:
             raise DegenerateX("all x values are identical")
-        slope = float(np.dot(dx, dy)) / sxx
+        slope = _dot(dx, dy) / sxx
         intercept = float(ym - slope * xm)
         resid = y - (intercept + slope * x)
-        sse = float(np.dot(resid, resid))
-        sst = float(np.dot(dy, dy))
+        sse = _dot(resid, resid)
+        sst = _dot(dy, dy)
         r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
         dof = n - 2
 
@@ -225,7 +233,7 @@ def fit_daily_growth(series: DailySeries) -> tuple[float, FitResult]:
     Fits ln(close) against the trading-day index; the slope times 100 is the
     growth rate. Exact exponential input is recovered exactly.
     """
-    closes = series.close
+    closes = finite_closes(series)
     if np.any(closes <= 0):
         raise NonPositivePrice("series contains a nonpositive close")
     fit = _fit_line(np.arange(len(series), dtype=float), np.log(closes))
@@ -236,7 +244,7 @@ def daily_fluctuations(series: DailySeries) -> FluctuationSeries:
     """Daily percentage change of the close with respect to the previous day."""
     if len(series) < 2:
         raise InsufficientData("need at least 2 records for fluctuations")
-    closes = series.close
+    closes = finite_closes(series)
     prev = closes[:-1]
     if np.any(prev <= 0):
         raise NonPositivePrice("previous-day close <= 0, fluctuation undefined")
@@ -295,10 +303,10 @@ def fit_gaussian_offset(hist: Histogram, mu: float, sigma: float) -> GaussianOff
     centers = hist.centers()[window]
     counts = np.asarray(hist.counts)[window]
     g = np.exp(-((centers - mu) ** 2) / (2.0 * sigma**2))
-    denom = float(np.dot(g, g))
+    denom = _dot(g, g)
     if denom == 0.0:
         raise DegenerateFit("Gaussian factor vanishes on every occupied bin")
-    f0 = float(np.dot(g, counts - 1.0)) / denom
+    f0 = _dot(g, counts - 1.0) / denom
     return GaussianOffsetFit(mu=mu, sigma=sigma, f0=max(f0, 0.0))
 
 
@@ -370,11 +378,11 @@ def pearson_correlation(xs, ys) -> float:
         raise InsufficientData("correlation needs at least 2 pairs")
     dx = x - x.mean()
     dy = y - y.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+    sxx = _dot(dx, dx)
+    syy = _dot(dy, dy)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("correlation undefined for a constant vector")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    r = _dot(dx, dy) / math.sqrt(sxx * syy)
     return min(max(r, -1.0), 1.0)
 
 

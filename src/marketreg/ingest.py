@@ -132,6 +132,17 @@ def _parse_date(text: str, date_format: str) -> Date:
     return datetime.strptime(text, date_format).date()
 
 
+def _header_columns(header: list[str], config: IngestConfig) -> tuple[int, int, int | None]:
+    """Indices of the date, price and (optional) volume columns in ``header``."""
+    date_idx = _column_index(header, config.date_column)
+    price_idx = _column_index(header, config.price_column)
+    if config.volume_column is not None:
+        return date_idx, price_idx, _column_index(header, config.volume_column)
+    lowered = [h.lower() for h in header]
+    volume_name = DEFAULT_VOLUME_COLUMN.lower()
+    return date_idx, price_idx, lowered.index(volume_name) if volume_name in lowered else None
+
+
 def parse_daily_file(
     source, config: IngestConfig | None = None, index_name: str = "unnamed"
 ) -> DailySeries:
@@ -143,13 +154,127 @@ def parse_daily_file(
     number; repeated dates raise DuplicateDate; a file without data rows
     raises EmptySeries; a configured column missing from the header raises
     UnknownColumn.
+
+    Plain files in the default dialect are converted a column at a time;
+    every other input, and any file that fails a column check, goes through
+    the row loop, which accepts the same inputs and raises every error.
     """
     config = config or IngestConfig()
     text = _as_text(source)
+    columns = _parse_columns(text, config)
+    if columns is None:
+        return _parse_rows(text, config, index_name)
+    dates, close, volume, volume_mask = columns
+    return DailySeries.from_columns(dates, close, volume, index_name, volume_mask)
+
+
+# Characters that make csv.reader read a line differently from a plain split
+# on commas and newlines.
+_CSV_SPECIAL = ('"', "\r", "\0")
+_BLOCK_CHARS = 1 << 18  # about 8,000 lines of a Date,Close,Volume file
+
+
+def _parse_columns(text: str, config: IngestConfig):
+    """Columns (dates, close, volume, volume_mask) of a plain file, or None.
+
+    The file must be ASCII comma-separated text with an ISO date format and
+    no quotes, carriage returns or NUL characters; its first line is the
+    header and every data line has exactly the header's number of cells. The
+    body is read in blocks of whole lines: dates must be exactly YYYY-MM-DD,
+    closes go through ``float`` and volumes through ``int`` over each block's
+    cells, and every check the row loop makes is an array operation. None
+    means the row loop must read the file; it then raises whatever error it
+    would raise anyway.
+    """
+    if (config.date_format != ISO_DATE_FORMAT or config.delimiter != "," or config.decimal_comma
+            or not text.isascii() or any(ch in text for ch in _CSV_SPECIAL)):
+        return None
+    head_end = text.find("\n")
+    raw_header = text[:max(head_end, 0)].split(",")
+    header = [cell.strip() for cell in raw_header]
+    if head_end < 0 or not any(header) or max(map(len, raw_header)) > csv.field_size_limit():
+        return None
+    try:
+        date_idx, price_idx, volume_idx = _header_columns(header, config)
+    except UnknownColumn:
+        return None
+    body_end = len(text) - text.endswith("\n")
+    blocks = []
+    start = head_end + 1
+    while start < body_end:
+        end = text.find("\n", start + _BLOCK_CHARS, body_end)
+        end = body_end if end < 0 else end
+        block = _parse_block(text[start:end], len(header), date_idx, price_idx, volume_idx)
+        if block is None:
+            return None
+        blocks.append(block)
+        start = end + 1
+    if not blocks:
+        return None
+    dates, close, volume, volume_mask = (np.concatenate(column) for column in zip(*blocks))
+    if not np.all(dates[1:] > dates[:-1]):
+        order = np.argsort(dates, kind="stable")
+        dates, close, volume, volume_mask = (c[order] for c in (dates, close, volume, volume_mask))
+        if np.any(dates[1:] == dates[:-1]):
+            return None
+    return dates, close, volume, volume_mask
+
+
+def _parse_block(block: str, n_cols: int, date_idx: int, price_idx: int, volume_idx):
+    """Columns of the lines in ``block`` (no trailing newline), or None."""
+    raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero((raw == ord(",")) | (raw == ord("\n"))), raw.size)
+    n_rows = ends.size // n_cols
+    # Every n_cols-th cell, and no other, must end its line.
+    line_ends = raw[ends[:-1]] == ord("\n")
+    if np.count_nonzero(line_ends) != n_rows - 1 or not line_ends[n_cols - 1::n_cols].all():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    if lengths.max() > csv.field_size_limit():
+        return None
+
+    if not np.all(lengths[date_idx::n_cols] == 10):
+        return None
+    chars = raw[starts[date_idx::n_cols, None] + np.arange(10)]
+    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]] - np.uint8(ord("0"))
+    if np.any(digits > 9) or np.any(chars[:, [4, 7]] != ord("-")):
+        return None
+    digits = digits.astype(np.int64)
+    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
+    month = digits[:, 4] * 10 + digits[:, 5]
+    day = digits[:, 6] * 10 + digits[:, 7]
+    if np.any(year < 1) or np.any((month < 1) | (month > 12)):
+        return None
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    dates = months.astype("datetime64[D]") + (day - 1)
+    if np.any(dates.astype("datetime64[M]") != months):
+        return None  # day 00, or a day past the end of its month
+
+    cells = block.replace("\n", ",").split(",")
+    try:
+        close = np.fromiter(map(float, cells[price_idx::n_cols]), dtype=float, count=n_rows)
+        volume = np.zeros(n_rows, dtype=np.int64)
+        if volume_idx is None:
+            volume_mask = np.zeros(n_rows, dtype=bool)
+        else:
+            volume_mask = lengths[volume_idx::n_cols] > 0
+            volume[volume_mask] = np.fromiter(
+                map(int, filter(None, cells[volume_idx::n_cols])), dtype=np.int64
+            )
+    except (ValueError, OverflowError):
+        return None
+    if not np.all(np.isfinite(close) & (close > 0)) or np.any(volume < 0):
+        return None
+    return dates, close, volume, volume_mask
+
+
+def _parse_rows(text: str, config: IngestConfig, index_name: str) -> DailySeries:
+    """``parse_daily_file`` one csv row at a time: every dialect, every error."""
     reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
 
     header: list[str] | None = None
-    ordinals, closes, volumes = [], [], []
+    ordinals, closes, volumes, volume_mask = [], [], [], []
     try:
         for row in reader:
             cells = [cell.strip() for cell in row]
@@ -158,17 +283,7 @@ def parse_daily_file(
             line_no = reader.line_num
             if header is None:
                 header = cells
-                date_idx = _column_index(header, config.date_column)
-                price_idx = _column_index(header, config.price_column)
-                if config.volume_column is not None:
-                    volume_idx = _column_index(header, config.volume_column)
-                else:
-                    lowered = [h.lower() for h in header]
-                    volume_idx = (
-                        lowered.index(DEFAULT_VOLUME_COLUMN.lower())
-                        if DEFAULT_VOLUME_COLUMN.lower() in lowered
-                        else None
-                    )
+                date_idx, price_idx, volume_idx = _header_columns(header, config)
                 needed = max(date_idx, price_idx, volume_idx if volume_idx is not None else 0)
                 continue
 
@@ -181,9 +296,9 @@ def parse_daily_file(
             except ValueError:
                 raise MalformedRow(line_no, f"unparseable date {cells[date_idx]!r}") from None
             closes.append(_parse_price(cells[price_idx], config, line_no))
-            volumes.append(
-                _parse_volume(cells[volume_idx], line_no) if volume_idx is not None else None
-            )
+            volume = _parse_volume(cells[volume_idx], line_no) if volume_idx is not None else None
+            volumes.append(volume or 0)
+            volume_mask.append(volume is not None)
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, f"csv error: {exc}") from None
 
@@ -198,7 +313,8 @@ def parse_daily_file(
         raise DuplicateDate(dates[repeated[0]].item())
 
     return DailySeries.from_columns(
-        dates, np.array(closes)[order], np.asarray(volumes)[order], index_name
+        dates, np.array(closes)[order], np.array(volumes, dtype=np.int64)[order], index_name,
+        np.array(volume_mask)[order],
     )
 
 

@@ -13,7 +13,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from .errors import InsufficientData, NonPositivePrice
+from .errors import InsufficientData, NonFinitePrice, NonPositivePrice
 
 # Partial first/last months below this many trading days are dropped so that
 # per-month standard deviations are not dominated by tiny samples.
@@ -49,6 +49,15 @@ def day_column(ordinals) -> np.ndarray:
     return (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
 
 
+def _volume_column(volumes) -> tuple[np.ndarray, np.ndarray]:
+    """int64 counts, 0 where a volume is None, and the mask of reported volumes."""
+    volumes = np.asarray(volumes)
+    if volumes.dtype.kind in "iu":
+        return volumes, np.ones(len(volumes), dtype=bool)
+    mask = np.not_equal(volumes, None)
+    return np.where(mask, volumes, 0).astype(np.int64), mask
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class DailySeries:
     """Ordered daily closes, and optionally volumes, of one index as read-only columns.
@@ -68,21 +77,27 @@ class DailySeries:
     def __init__(self, records, index_name: str = "unnamed"):
         records = tuple(records)
         dates = day_column([r.date.toordinal() for r in records])
-        self._set(dates, [r.close for r in records], [r.volume for r in records], index_name)
+        volume, mask = _volume_column([r.volume for r in records])
+        self._set(dates, [r.close for r in records], volume, mask, index_name)
 
     @classmethod
-    def from_columns(cls, dates, close, volumes=None, index_name: str = "unnamed") -> "DailySeries":
-        """Series from its columns; ``volumes`` holds None where no volume was reported."""
+    def from_columns(
+        cls, dates, close, volumes=None, index_name: str = "unnamed", volume_mask=None
+    ) -> "DailySeries":
+        """Series from its columns. ``volumes`` holds None where no volume was
+        reported or, when ``volume_mask`` is given, is the int64 count column
+        with 0 wherever the mask is false."""
+        if volume_mask is None:
+            volumes, volume_mask = _volume_column([None] * len(dates) if volumes is None else volumes)
         series = cls.__new__(cls)
-        series._set(dates, close, [None] * len(dates) if volumes is None else volumes, index_name)
+        series._set(dates, close, volumes, volume_mask, index_name)
         return series
 
-    def _set(self, dates, close, volumes, index_name: str) -> None:
+    def _set(self, dates, close, volume, mask, index_name: str) -> None:
         dates = np.array(dates, dtype="datetime64[D]")
-        volumes = np.asarray(volumes)
-        mask = np.not_equal(volumes, None)
         columns = {"dates": dates, "close": np.array(close, dtype=float),
-                   "volume": np.where(mask, volumes, 0).astype(np.int64), "volume_mask": mask}
+                   "volume": np.array(volume, dtype=np.int64),
+                   "volume_mask": np.array(mask, dtype=bool)}
         if len(dates) == 0:
             raise ValueError("a DailySeries needs at least one record")
         if any(len(column) != len(dates) for column in columns.values()):
@@ -134,7 +149,7 @@ class DailySeries:
     def with_volumes(self, volumes) -> "DailySeries":
         """Copy of the series with the volume column replaced; None marks a
         volume that was not reported."""
-        return DailySeries.from_columns(self.dates, self.close, list(volumes), self.index_name)
+        return DailySeries.from_columns(self.dates, self.close, volumes, self.index_name)
 
 
 @dataclass(frozen=True)
@@ -187,19 +202,30 @@ class MonthlyAggregate:
         return self.std_log**2
 
 
+def _close_at(series: DailySeries, t: int) -> str:
+    return f"close at t={t} ({series.dates[t].item().isoformat()}) is {series.close[t].item()}"
+
+
+def finite_closes(series: DailySeries) -> np.ndarray:
+    """The close column. Raises NonFinitePrice at the first infinite or NaN close."""
+    bad = np.flatnonzero(~np.isfinite(series.close))
+    if bad.size:
+        raise NonFinitePrice(_close_at(series, int(bad[0])))
+    return series.close
+
+
 def log_series(series: DailySeries) -> np.ndarray:
     """Natural log of each close against its trading-day index, as an
     (n, 2) array of (t, ln close) rows.
 
-    Raises NonPositivePrice if any close is <= 0.
+    Raises NonFinitePrice if any close is infinite or NaN and
+    NonPositivePrice if any close is <= 0.
     """
-    bad = np.flatnonzero(series.close <= 0)
+    close = finite_closes(series)
+    bad = np.flatnonzero(close <= 0)
     if bad.size:
-        t = int(bad[0])
-        raise NonPositivePrice(
-            f"close at t={t} ({series.dates[t].item().isoformat()}) is {series.close[t].item()}"
-        )
-    return np.column_stack((np.arange(len(series), dtype=float), np.log(series.close)))
+        raise NonPositivePrice(_close_at(series, int(bad[0])))
+    return np.column_stack((np.arange(len(series), dtype=float), np.log(close)))
 
 
 def log_volumes(series: DailySeries) -> tuple[np.ndarray, np.ndarray]:

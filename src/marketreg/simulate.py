@@ -22,7 +22,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from .errors import PathRejectionLimit, VolumeOverflow
+from .errors import NonFinitePrice, PathRejectionLimit, VolumeOverflow
 from .series import DailySeries
 
 TRADING_DAYS_PER_MONTH = 21
@@ -134,21 +134,22 @@ def simulate_gbm(
     A step that would drive the price nonpositive is rejected and its
     increment redrawn from the same stream; clamping instead would bias the
     drift this module exists to verify. More than REDRAW_LIMIT consecutive
-    redraws raise PathRejectionLimit, which signals absurd parameters.
+    redraws raise PathRejectionLimit, which signals absurd parameters; a
+    price that overflows float64 raises NonFinitePrice.
     """
     schedule = schedule or VolatilitySchedule.constant(params.b)
     n_steps = params.n_days - 1
     rng = np.random.default_rng(params.seed)
     sqrt_dt = math.sqrt(params.dt)
-    b_levels = schedule.levels(n_steps) if n_steps > 0 else np.empty(0)
-    dws = _standard_normals(rng, n_steps) * sqrt_dt if n_steps > 0 else np.empty(0)
+    b_levels = schedule.levels(n_steps).tolist() if n_steps > 0 else []
+    dws = (_standard_normals(rng, n_steps) * sqrt_dt).tolist() if n_steps > 0 else []
 
+    # Python floats round exactly as float64 does, and overflow to inf without a warning.
     prices = np.empty(params.n_days)
-    prices[0] = params.s0
+    prices[0] = price = float(params.s0)
     drift = params.a * params.dt
-    for k in range(n_steps):
-        dw = dws[k]
-        nxt = prices[k] * (1.0 + drift + b_levels[k] * dw)
+    for k, (b, dw) in enumerate(zip(b_levels, dws)):
+        nxt = price * (1.0 + drift + b * dw)
         redraws = 0
         while nxt <= 0:
             redraws += 1
@@ -157,8 +158,12 @@ def simulate_gbm(
                     f"{REDRAW_LIMIT} consecutive redraws at step {k}; parameters are absurd"
                 )
             dw = float(_standard_normals(rng, 1)[0]) * sqrt_dt
-            nxt = prices[k] * (1.0 + drift + b_levels[k] * dw)
-        prices[k + 1] = nxt
+            nxt = price * (1.0 + drift + b * dw)
+        if not math.isfinite(nxt):
+            raise NonFinitePrice(
+                f"simulated price at day {k + 1} is {nxt}, past the float64 range"
+            )
+        prices[k + 1] = price = nxt
 
     return DailySeries.from_columns(synthetic_days(params.n_days), prices, index_name=index_name)
 

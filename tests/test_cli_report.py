@@ -189,6 +189,13 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "bad.csv" in err and "line 2" in err
 
+    def test_non_finite_close_exits_2_on_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "inf.csv"
+        bad.write_text("Date,Close\n2019-01-01,1.5\n2019-01-02,inf\n")
+        rc = main(["analyze", "--input", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 3: non-finite price 'inf'" in capsys.readouterr().err
+
     def test_estimation_error_exits_3_without_report(self, tmp_path, capsys):
         short = simulate_file(tmp_path, name="short.csv", days=30, with_volume=False)
         out_dir = tmp_path / "out"
@@ -235,6 +242,14 @@ class TestSimulateCommand:
         assert rc == 2
         assert not out.exists()
         assert "64-bit" in capsys.readouterr().err
+
+    def test_price_overflow_exits_2_without_file(self, tmp_path, capsys):
+        out = tmp_path / "inf.csv"
+        rc = main(["simulate", "--a", "0.01", "--b", "0.001", "--s0", "1000",
+                   "--days", "80000", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "day 70640 is inf" in capsys.readouterr().err
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         p1 = simulate_file(tmp_path, name="a.csv", seed=99)
@@ -304,6 +319,38 @@ def test_every_error_maps_to_a_documented_exit_code(error):
                   "DegenerateInput", "DegenerateFit", "NoVolumeData", "PathRejectionLimit"}
     assert error.exit_code == (3 if error.__name__ in estimation else 2)
     assert f"{error.exit_code} " in cli.__doc__
+
+
+LONG_REPORTS = """
+import numpy as np
+from marketreg.estimators import analyze_index
+from marketreg.report import render_report_json, report_payload
+from marketreg.series import DailySeries
+from marketreg.simulate import synthetic_days
+
+n = 120_000
+reports = []
+for seed in (1, 2):
+    rng = np.random.default_rng(seed)
+    close = 1000.0 * np.cumprod(1.0 + 3e-4 + 0.012 * rng.standard_normal(n))
+    eta = 0.1 * rng.standard_normal(n)
+    volume = np.rint(1e6 * np.exp(2e-4 * np.arange(n) + eta)).astype(np.int64)
+    series = DailySeries.from_columns(synthetic_days(n), close, volume, f"path{seed}")
+    reports.append(analyze_index(series))
+print(render_report_json(report_payload(reports)))
+"""
+
+
+def test_report_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(marketreg.__file__).parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", LONG_REPORTS], capture_output=True,
+                             text=True, check=True, env=env)
+        texts.append(out.stdout)
+    assert texts[0] == texts[1]
 
 
 def test_importing_the_cli_does_not_load_scipy():

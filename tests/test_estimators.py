@@ -13,6 +13,7 @@ from marketreg.errors import (
     DegenerateInput,
     DegenerateX,
     InsufficientData,
+    NonFinitePrice,
     NonPositivePrice,
     NoVolumeData,
 )
@@ -33,7 +34,12 @@ from marketreg.estimators import (
     linear_least_squares,
     pearson_correlation,
 )
-from marketreg.series import FluctuationSeries, MonthlyAggregate, monthly_aggregates
+from marketreg.series import (
+    FluctuationSeries,
+    MonthlyAggregate,
+    log_series,
+    monthly_aggregates,
+)
 from marketreg.simulate import (
     GbmParams,
     VolatilitySchedule,
@@ -161,6 +167,18 @@ class TestDailyGrowth:
     def test_nonpositive_close_rejected(self):
         with pytest.raises(NonPositivePrice):
             fit_daily_growth(series_from_closes([1.0, -1.0, 2.0]))
+
+
+class TestNonFiniteCloses:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "step", [analyze_index, fit_daily_growth, daily_fluctuations, monthly_aggregates, log_series]
+    )
+    def test_rejected_with_a_named_error(self, step, bad):
+        closes = [100.0 * 1.001**k for k in range(63)]
+        closes[30] = bad
+        with pytest.raises(NonFinitePrice, match=rf"close at t=30 \(2019-02-10\) is {bad}"):
+            step(series_from_closes(closes))
 
 
 class TestFluctuations:

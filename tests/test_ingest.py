@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketreg import ingest
 from marketreg.errors import (
     DuplicateDate,
     EmptySeries,
@@ -20,6 +21,7 @@ from marketreg.ingest import (
     write_daily_file,
 )
 from marketreg.series import DailyRecord, DailySeries
+from marketreg.simulate import GbmParams, simulate_gbm, simulate_volume
 
 MINIMAL = "Date,Close,Volume\n2019-04-01,100.5,1200000\n2019-04-02,101.0,1250000\n"
 
@@ -273,3 +275,154 @@ class TestValidate:
     def test_missing_volume_count(self):
         s = parse_daily_file("Date,Close,Volume\n2019-04-01,1,\n2019-04-02,1,5\n")
         assert validate_series(s).missing_volumes == 1
+
+
+def _outcome(parse, source):
+    """A parsed series, or the type, message and line number of the error."""
+    try:
+        return parse(source)
+    except MarketRegError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def _parse(source):
+    return parse_daily_file(source, index_name="x")
+
+
+def _row_loop(text):
+    return ingest._parse_rows(text, IngestConfig(), "x")
+
+
+LAYOUTS = [
+    ["Date", "Close"],
+    ["Date", "Close", "Volume"],
+    ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"],
+]
+ODD_DATES = ["2019-4-1", "2019-02-30", "0000-01-01", "2019-04-0\u0661", "2020-02-29",
+             "1900-02-29", "2000-02-29", "2019-13-01", "2019-00-10", "9999-12-31", "20190401",
+             " 2019-04-01", "2019/04/01", ""]
+ODD_CLOSES = ["nan", "-0.0", "1e3", "1_000", "inf", "0", "", " 5", "abc", "1e400", "+2.5"]
+ODD_VOLUMES = ["1e6", "-1", str(2**63), str(2**63 - 1), "", "null", "2.0", " 7", "+5",
+               "1_000", "-0", " "]
+ODD_CELLS = {"Date": ODD_DATES, "Close": ODD_CLOSES, "Volume": ODD_VOLUMES}
+
+
+@st.composite
+def mutated_daily_texts(draw):
+    """A canonical daily file in one of three layouts, then up to four edits
+    that the column path must either handle or hand to the row loop."""
+    header = list(draw(st.sampled_from(LAYOUTS)))
+    days = sorted(draw(st.lists(st.integers(0, 3000), min_size=1, max_size=8, unique=True)))
+    rows = []
+    for day in days:
+        row = []
+        for name in header:
+            if name == "Date":
+                row.append((date(2018, 1, 1) + timedelta(day)).isoformat())
+            elif name == "Volume":
+                row.append(draw(st.sampled_from(["", "0", "1250000", str(2**63 - 1)])))
+            else:
+                row.append(repr(draw(st.floats(min_value=1e-6, max_value=1e9))))
+        rows.append(row)
+
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from([*ODD_CELLS, "pad", "quote", "ragged", "duplicate", "swap",
+                                     "blank", "extra"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        other = draw(st.integers(0, len(rows) - 1))
+        c = header.index(edit) if edit in header else draw(st.integers(0, len(header) - 1))
+        if edit in ODD_CELLS and edit in header and c < len(rows[r]):
+            rows[r][c] = draw(st.sampled_from(ODD_CELLS[edit]))
+        elif edit == "pad" and c < len(rows[r]):
+            rows[r][c] = f" {rows[r][c]} "
+        elif edit == "quote" and c < len(rows[r]):
+            rows[r][c] = f'"{rows[r][c]}"'
+        elif edit == "ragged":
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["9"]
+        elif edit == "duplicate" and rows[r] and rows[other]:
+            rows[r][0] = rows[other][0]
+        elif edit == "swap":
+            rows[r], rows[other] = rows[other], rows[r]
+        elif edit == "blank":
+            rows.insert(r, draw(st.sampled_from([[], [""] * len(header), ["  "]])))
+        elif edit == "extra":
+            header = header + ["Extra"]
+            rows = [row + ["x"] for row in rows]
+
+    eol = "\r\n" if draw(st.booleans()) else "\n"
+    text = eol.join(",".join(row) for row in [header, *rows])
+    if draw(st.booleans()):
+        text += eol
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+class TestColumnPath:
+    """Plain files are read a column at a time; the row loop is the reference."""
+
+    @given(mutated_daily_texts())
+    @settings(max_examples=400)
+    def test_same_series_or_same_error_as_the_row_loop(self, text):
+        assert _outcome(_parse, text) == _outcome(_row_loop, text)
+        data = text.encode("utf-8")
+        assert _outcome(_parse, data) == _outcome(_row_loop, data.decode("utf-8-sig"))
+
+    @pytest.mark.parametrize(
+        "column, cell", [(column, cell) for column, cells in ODD_CELLS.items() for cell in cells]
+    )
+    def test_each_odd_cell_as_the_row_loop_reads_it(self, column, cell):
+        rows = [["2018-01-02", "100.5", "1200"], ["2018-01-03", "101", "1250"], ["2018-01-04", "99", ""]]
+        rows[1][["Date", "Close", "Volume"].index(column)] = cell
+        text = "Date,Close,Volume\n" + "".join(",".join(row) + "\n" for row in rows)
+        assert _outcome(_parse, text) == _outcome(_row_loop, text)
+
+    def test_short_and_long_rows_that_balance_out(self):
+        text = "Date,Close,Volume\n2019-04-01,100.5\n5,2019-04-02,101.0,7\n"
+        assert _outcome(_parse, text) == _outcome(_row_loop, text)
+        assert isinstance(_outcome(_parse, text), tuple)
+
+    def test_errors_in_later_blocks_keep_their_line_numbers(self):
+        lines = [f"{date(1900, 1, 1) + timedelta(k)},{1 + k / 7},{k}" for k in range(30_000)]
+        good = "Date,Close,Volume\n" + "\n".join(lines) + "\n"
+        assert _parse(good) == _row_loop(good)
+        for k, row in [(25_000, "x,1,1"), (29_999, lines[0]), (17_000, lines[17_000] + ",")]:
+            bad = lines.copy()
+            bad[k] = row
+            text = "Date,Close,Volume\n" + "\n".join(bad)
+            assert _outcome(_parse, text) == _outcome(_row_loop, text)
+        shuffled = "Date,Close,Volume\n" + "\n".join(lines[15_000:] + lines[:15_000])
+        assert _parse(shuffled) == _row_loop(good)
+
+    @pytest.fixture
+    def without_row_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the row loop read a plain file")
+
+        monkeypatch.setattr(ingest, "_parse_rows", refuse)
+
+    @pytest.fixture(scope="class")
+    def long_path(self):
+        return simulate_gbm(GbmParams(a=3e-4, b=0.012, s0=1000.0, n_days=50_000, seed=4),
+                            index_name="x")
+
+    def test_written_file_with_volumes(self, long_path, without_row_loop):
+        series = long_path.with_volumes(simulate_volume(2e-4, 1e6, 0.1, 50_000, 5))
+        buf = io.StringIO()
+        write_daily_file(series, buf)
+        assert parse_daily_file(buf.getvalue(), index_name="x") == series
+
+    def test_written_file_without_volumes(self, long_path, without_row_loop):
+        buf = io.StringIO()
+        write_daily_file(long_path, buf)
+        assert parse_daily_file(buf.getvalue().encode(), index_name="x") == long_path
+
+    def test_yahoo_layout(self, long_path, without_row_loop):
+        volumes = [None if k % 7 == 3 else 1000 + k for k in range(len(long_path))]
+        series = long_path.with_volumes(volumes)
+        rows = [
+            f"{day},1.0,2.0,0.5,{close!r},{close!r},{'' if volume is None else volume}"
+            for day, close, volume in zip(series.dates.tolist(), series.close.tolist(), volumes)
+        ]
+        text = "Date,Open,High,Low,Close,Adj Close,Volume\n" + "\n".join(rows) + "\n"
+        assert parse_daily_file(text, index_name="x") == series

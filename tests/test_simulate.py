@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketreg.errors import PathRejectionLimit, VolumeOverflow
+from marketreg.errors import NonFinitePrice, PathRejectionLimit, VolumeOverflow
 from marketreg.estimators import (
     analyze_index,
     daily_fluctuations,
@@ -157,6 +157,11 @@ class TestSimulateGbm:
     def test_rejection_limit(self):
         with pytest.raises(PathRejectionLimit):
             simulate_gbm(GbmParams(a=-1.5, b=0.0, s0=1.0, n_days=3, seed=1))
+
+    def test_price_past_float64_raises_at_its_day(self):
+        # 1.01**70640 * 1000 passes 1.8e308 on day 70640 of this path.
+        with pytest.raises(NonFinitePrice, match="day 70640 is inf"):
+            simulate_gbm(GbmParams(a=0.01, b=0.001, s0=1000.0, n_days=80_000, seed=1))
 
     def test_dates_follow_synthetic_calendar(self):
         series = simulate_gbm(GbmParams(a=0.0, b=0.01, s0=1.0, n_days=50, seed=3))
