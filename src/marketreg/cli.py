@@ -1,8 +1,8 @@
 """Command-line entry point: analyze data files, simulate paths, self-test.
 
 Exit codes: 0 success, 2 input error (bad data, columns or simulate parameters,
-including a simulated price past float64 or volume past int64), 3 estimation
-error, 4 selftest failure.
+including a simulated price past float64 or volume past int64, and two inputs
+whose plot files would share a name), 3 estimation error, 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -15,8 +15,13 @@ from pathlib import Path
 from .errors import MarketRegError
 from .estimators import DEFAULT_BIN_WIDTH, analyze_index
 from .ingest import IngestConfig, parse_daily_path, write_daily_file
-from .report import display_row, report_payload, write_plot_files, write_report_atomic
-from .selftest import format_results, run_selftest
+from .report import (
+    check_plot_stems,
+    display_row,
+    report_payload,
+    write_plot_files,
+    write_report_atomic,
+)
 from .simulate import GbmParams, VolatilitySchedule, simulate_gbm, simulate_volume
 
 EXIT_OK = 0
@@ -89,6 +94,9 @@ def run_analyze(config: RunConfig) -> int:
                 file=sys.stderr,
             )
 
+    if config.emit_plots:
+        check_plot_stems(config.input_paths, [series.index_name for series in series_list])
+
     reports = []
     for series in series_list:
         try:
@@ -152,6 +160,8 @@ def run_simulate(config: RunConfig) -> int:
 
 
 def run_selftest_command(config: RunConfig) -> int:
+    from .selftest import format_results, run_selftest
+
     results = run_selftest(tolerance_scale=0.1 if config.strict else 1.0)
     print(format_results(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST

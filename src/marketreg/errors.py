@@ -81,3 +81,10 @@ class PathRejectionLimit(MarketRegError):
 
 class VolumeOverflow(MarketRegError):
     """A simulated volume count would not fit a 64-bit integer."""
+
+
+class PlotNameCollision(MarketRegError):
+    """Two inputs would write their plot files under the same file-name stem."""
+
+    def __init__(self, first, second, stem: str):
+        super().__init__(f"{first} and {second} would both write plot files named {stem}_*.tsv")

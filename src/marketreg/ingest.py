@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime
@@ -169,8 +170,8 @@ def parse_daily_file(
 
 
 # Characters that make csv.reader read a line differently from a plain split
-# on commas and newlines.
-_CSV_SPECIAL = ('"', "\r", "\0")
+# on commas and newlines; a carriage return is plain only right before "\n".
+_CSV_SPECIAL = ('"', "\0")
 _BLOCK_CHARS = 1 << 18  # about 8,000 lines of a Date,Close,Volume file
 
 
@@ -178,7 +179,8 @@ def _parse_columns(text: str, config: IngestConfig):
     """Columns (dates, close, volume, volume_mask) of a plain file, or None.
 
     The file must be ASCII comma-separated text with an ISO date format and
-    no quotes, carriage returns or NUL characters; its first line is the
+    no quotes, NUL characters or carriage returns other than CRLF line
+    endings, which are read as LF; its first line is the
     header and every data line has exactly the header's number of cells. The
     body is read in blocks of whole lines: dates must be exactly YYYY-MM-DD,
     closes go through ``float`` and volumes through ``int`` over each block's
@@ -189,6 +191,10 @@ def _parse_columns(text: str, config: IngestConfig):
     if (config.date_format != ISO_DATE_FORMAT or config.delimiter != "," or config.decimal_comma
             or not text.isascii() or any(ch in text for ch in _CSV_SPECIAL)):
         return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
     head_end = text.find("\n")
     raw_header = text[:max(head_end, 0)].split(",")
     header = [cell.strip() for cell in raw_header]
@@ -327,6 +333,25 @@ def parse_daily_path(
         return parse_daily_file(fh, config, index_name or path.stem)
 
 
+_BLOCK_ROWS = 8192  # rows formatted by one % operation
+
+
+def format_rows(row_format: str, columns):
+    """Text of the rows of ``columns`` (equal-length numpy arrays), one block
+    of rows at a time: each block's cells, as Python values, fill
+    ``row_format`` repeated once per row, so a ``%s`` float prints as its
+    shortest round-trip repr and a datetime64 day as YYYY-MM-DD."""
+    n_cols = len(columns)
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [column[start:start + _BLOCK_ROWS] for column in columns]
+        block = [(b.astype(str) if b.dtype.kind == "M" else b).tolist() for b in block]
+        n_rows = len(block[0])
+        cells = [None] * (n_rows * n_cols)
+        for i, column in enumerate(block):
+            cells[i::n_cols] = column
+        yield (row_format * n_rows) % tuple(cells)
+
+
 def write_daily_file(series: DailySeries, dest) -> None:
     """Serialize to the canonical comma-delimited format.
 
@@ -335,19 +360,19 @@ def write_daily_file(series: DailySeries, dest) -> None:
     column is emitted only when at least one record carries a volume.
     """
     header = "Date,Close"
-    columns = [
-        [day.isoformat() for day in series.dates.tolist()],
-        [repr(close) for close in series.close.tolist()],
-    ]
+    columns = [series.dates, series.close]
     if series.has_volume():
         header += ",Volume"
-        columns.append(["" if v is None else str(v) for v in series.volumes()])
-    payload = "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+        volume = series.volume
+        if not series.volume_mask.all():
+            volume = np.where(series.volume_mask, volume.astype(object), "")
+        columns.append(volume)
+    row_format = ",".join(["%s"] * len(columns)) + "\n"
 
-    if hasattr(dest, "write"):
-        dest.write(payload)
-        return
-    Path(dest).write_text(payload, encoding="utf-8")
+    opened = nullcontext(dest) if hasattr(dest, "write") else Path(dest).open("w", encoding="utf-8")
+    with opened as fh:
+        fh.write(header + "\n")
+        fh.writelines(format_rows(row_format, columns))
 
 
 def validate_series(series: DailySeries) -> ValidationSummary:

@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientData
+from .errors import DegenerateInput, InsufficientData, PlotNameCollision
 from .estimators import (
     RegularityReport,
     build_histogram,
     daily_fluctuations,
     pearson_correlation,
 )
+from .ingest import format_rows
 from .series import DailySeries, log_series, log_volumes, monthly_aggregates
 
 
@@ -138,12 +139,24 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name) or "index"
 
 
+def check_plot_stems(sources: list, index_names: list[str]) -> None:
+    """Raise PlotNameCollision if two indices would write plot files under one stem."""
+    seen = {}
+    for source, name in zip(sources, index_names):
+        stem = _safe_name(name)
+        if stem in seen:
+            raise PlotNameCollision(seen[stem], source, stem)
+        seen[stem] = source
+
+
 def _write_tsv(path: Path, comments: list[str], header: list[str], columns: list) -> None:
-    # str of a float is its shortest round-trip repr; every column holds
-    # Python ints, floats or strings.
-    lines = [f"# {c}" for c in comments] + ["\t".join(header)]
-    lines += ["\t".join(map(str, row)) for row in zip(*columns)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Each column is a numpy array, or a str that is the same cell on every row
+    # and goes into the row format once.
+    cells = ["%s" if isinstance(c, np.ndarray) else c.replace("%", "%%") for c in columns]
+    varying = [c for c in columns if isinstance(c, np.ndarray)]
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("".join(f"# {c}\n" for c in comments) + "\t".join(header) + "\n")
+        fh.writelines(format_rows("\t".join(cells) + "\n", varying))
 
 
 def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Path) -> list[Path]:
@@ -170,7 +183,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"slope = {fit_a.slope!r}; intercept = {fit_a.intercept!r}",
         ],
         ["t_days", "ln_close", "fit_ln_close"],
-        [t.astype(int).tolist(), ln_close.tolist(), fit_a.predict(t).tolist()],
+        [t.astype(int), ln_close, fit_a.predict(t)],
     )
     written.append(path)
 
@@ -186,17 +199,17 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"mean_pct = {report.mu!r}",
         ],
         ["t_days", "delta_pct", "mean_pct"],
-        [td.tolist(), d.tolist(), [report.mu] * len(d)],
+        [td, d, str(report.mu)],
     )
     written.append(path)
 
     hist = build_histogram(fluct, report.bin_width)
     centers = hist.centers()
     if report.gaussian is not None:
-        model = report.gaussian.evaluate(centers).tolist()
+        model = report.gaussian.evaluate(centers)
         model_note = f"model: f(delta) = 1 + f0*exp(-(delta-mu)^2/(2 sigma^2)); f0 = {report.f0!r}"
     else:
-        model = [""] * len(centers)
+        model = ""
         model_note = "model: amplitude fit unavailable (" + report.errors.get("f0", "") + ")"
     path = out_dir / f"{stem}_fluctuation_histogram.tsv"
     _write_tsv(
@@ -208,7 +221,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             model_note,
         ],
         ["delta_center_pct", "count", "model_count"],
-        [centers.tolist(), [int(c) for c in hist.counts], model],
+        [centers, np.array(hist.counts).astype(np.int64), model],
     )
     written.append(path)
 
@@ -224,11 +237,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"fit: mean_log = intercept + slope*tau; slope_per_month = {report.m!r}",
         ],
         ["tau_months", "mean_log", "fit_mean_log"],
-        [
-            taus.astype(int).tolist(),
-            [agg.mean_log for agg in aggregates],
-            fit_m.predict(taus).tolist(),
-        ],
+        [taus.astype(int), np.array([agg.mean_log for agg in aggregates]), fit_m.predict(taus)],
     )
     written.append(path)
 
@@ -243,11 +252,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"spike: tau = {report.spike_tau}, var_log = {report.spike_value!r}",
         ],
         ["tau_months", "var_log", "fit_var_log"],
-        [
-            taus.astype(int).tolist(),
-            [agg.var_log for agg in aggregates],
-            fit_w.predict(taus).tolist(),
-        ],
+        [taus.astype(int), np.array([agg.var_log for agg in aggregates]), fit_w.predict(taus)],
     )
     written.append(path)
 
@@ -263,7 +268,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
                 f"fit: ln_volume = intercept + slope*t; slope_pct_per_day = {report.nu!r}",
             ],
             ["t_days", "ln_volume", "fit_ln_volume"],
-            [tv.tolist(), ln_vol.tolist(), fit_v.predict(tv).tolist()],
+            [tv, ln_vol, fit_v.predict(tv)],
         )
         written.append(path)
 

@@ -1,8 +1,9 @@
 """Builders and independent oracles shared across the test modules.
 
 The oracles here deliberately avoid the library's own code paths: the line
-fit solves the normal equations in exact rational arithmetic, and the
-monthly statistics use the stdlib statistics module over a plain groupby.
+fit solves the normal equations in exact rational arithmetic, the monthly
+statistics use the stdlib statistics module over a plain groupby, and the
+reference writers format one row at a time with ``str``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 import statistics
 from datetime import date as Date
 from fractions import Fraction
+from pathlib import Path
 
 from marketreg.series import DailyRecord, DailySeries
 
@@ -90,3 +92,31 @@ def monthly_oracle(series: DailySeries, min_days: int = 10):
         if len(vals) >= min_days:
             out.append((key, statistics.fmean(vals), statistics.pstdev(vals), len(vals)))
     return out
+
+
+def reference_write_tsv(path: Path, comments: list[str], header: list[str], columns: list) -> None:
+    """``report._write_tsv`` one row at a time. A column is a numpy array, or
+    a str that is the cell of every row."""
+    n_rows = max(len(c) for c in columns if not isinstance(c, str))
+    columns = [[c] * n_rows if isinstance(c, str) else c.tolist() for c in columns]
+    lines = [f"# {c}" for c in comments] + ["\t".join(header)]
+    lines += ["\t".join(map(str, row)) for row in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_write_daily_file(series: DailySeries, dest) -> None:
+    """``ingest.write_daily_file`` one row at a time, joined before one write."""
+    header = "Date,Close"
+    columns = [
+        [day.isoformat() for day in series.dates.tolist()],
+        [repr(close) for close in series.close.tolist()],
+    ]
+    if series.has_volume():
+        header += ",Volume"
+        columns.append(["" if v is None else str(v) for v in series.volumes()])
+    payload = "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+    if hasattr(dest, "write"):
+        dest.write(payload)
+        return
+    Path(dest).write_text(payload, encoding="utf-8")

@@ -223,6 +223,19 @@ class TestAnalyzeCommand:
         payload = json.loads((out_dir / "report.json").read_text())
         assert [r["index_name"] for r in payload["indices"]] == ["one", "two"]
 
+    @pytest.mark.parametrize("names", [("x/a b.csv", "y/a_b.csv"), ("x/sp.csv", "y/sp.csv")])
+    def test_plot_name_collision_exits_2_without_files(self, tmp_path, capsys, names):
+        paths = [simulate_file(tmp_path, name=name, seed=k + 1) for k, name in enumerate(names)]
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        assert rc == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert f"error: {paths[0]} and {paths[1]} would both write plot files named" in err
+        # Without --plots nothing is overwritten, so the same inputs are fine.
+        assert main(["analyze", "--input", *map(str, paths), "--out", str(out_dir)]) == 0
+
     def test_variance_fit_origin_mode(self, tmp_path):
         path = simulate_file(tmp_path)
         out_dir = tmp_path / "out"
@@ -361,6 +374,43 @@ def test_importing_the_cli_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def child_env() -> dict:
+    """This environment with the package's source directory first on PYTHONPATH."""
+    src = str(Path(marketreg.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_importing_the_cli_does_not_load_selftest():
+    # Only the selftest command needs the oracle suite.
+    code = "import sys, marketreg.cli; print('marketreg.selftest' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env())
+    assert out.stdout.strip() == "False"
+
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+def run_script(name: str, *args: str) -> str:
+    out = subprocess.run([sys.executable, str(SCRIPTS / name), *args], capture_output=True,
+                         text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_synthetic_recovery_script_runs():
+    assert "held on" in run_script("synthetic_recovery.py", "--paths", "3", "--days", "2000")
+
+
+def test_volatility_decline_demo_script_writes_plot_files(tmp_path):
+    stdout = run_script("volatility_decline_demo.py", "--months", "60", "--out", str(tmp_path))
+    assert "verdict" in stdout
+    views = ["daily_log_price", "fluctuation_histogram", "fluctuation_series",
+             "monthly_mean_log", "monthly_variance"]
+    expected = sorted(f"{stem}_{view}.tsv" for stem in ("constant_b", "decaying_b") for view in views)
+    assert sorted(p.name for p in tmp_path.glob("*.tsv")) == expected
 
 
 class TestArgparseBehaviour:

@@ -426,3 +426,23 @@ class TestColumnPath:
         ]
         text = "Date,Open,High,Low,Close,Adj Close,Volume\n" + "\n".join(rows) + "\n"
         assert parse_daily_file(text, index_name="x") == series
+
+    def test_crlf_file_reads_as_its_lf_form(self, long_path, without_row_loop):
+        series = long_path.with_volumes(simulate_volume(2e-4, 1e6, 0.1, 50_000, 5))
+        buf = io.StringIO()
+        write_daily_file(series, buf)
+        crlf = buf.getvalue().replace("\n", "\r\n")
+        assert parse_daily_file(crlf, index_name="x") == series
+        assert parse_daily_file(crlf.encode(), index_name="x") == series
+        assert parse_daily_file(crlf[:-2], index_name="x") == series
+
+    @pytest.mark.parametrize("text", [
+        "Date,Close\r2019-04-01,1\r2019-04-02,2\r",
+        "Date,Close\r\n2019-04-01,1\r2019-04-02,2\r\n",
+        "Date,Close\r\n2019-04-01,1\r\n2019-04-02,2\r",
+        "Date,Close\r\n2019-04-01,1\r\r\n2019-04-02,2\r\n",
+        "Date,Close\n2019-04-01,1\r,\n2019-04-02,2\n",
+    ])
+    def test_lone_carriage_return_goes_to_the_row_loop(self, text):
+        assert ingest._parse_columns(text, IngestConfig()) is None
+        assert _outcome(_parse, text) == _outcome(_row_loop, text)
