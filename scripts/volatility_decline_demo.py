@@ -3,8 +3,9 @@
 
 A constant-volatility path should fit a statistically flat monthly-variance
 trend; a linearly decaying schedule must produce a significantly negative
-slope w. Writes the two monthly-variance TSVs next to the chosen output
-directory so the curves can be plotted.
+slope w. With ``--out DIR`` it writes all five plot files of each path into
+DIR and prints the paths of the two monthly-variance files, whose curves
+show the decline.
 
     python scripts/volatility_decline_demo.py --out /tmp/decline
 """
@@ -56,8 +57,8 @@ def main() -> None:
     print(f"decaying schedule verdict: {verdict}")
 
     if args.out is not None:
-        for series, rep in ((constant, rep_const), (decaying, rep_decay)):
-            for path in write_plot_files(series, rep, args.out):
+        for rep in (rep_const, rep_decay):
+            for path in write_plot_files(rep, args.out):
                 if "monthly_variance" in path.name:
                     print(f"wrote {path}")
 

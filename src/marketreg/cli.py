@@ -1,8 +1,9 @@
 """Command-line entry point: analyze data files, simulate paths, self-test.
 
 Exit codes: 0 success, 2 input error (bad data, columns or simulate parameters,
-including a simulated price past float64 or volume past int64, and two inputs
-whose plot files would share a name), 3 estimation error, 4 selftest failure.
+including a simulated price past float64 or volume past int64, a day-over-day
+change past float64, and two inputs whose plot files would share a name),
+3 estimation error, 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def run_analyze(config: RunConfig) -> int:
     payload = report_payload(reports)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     if config.emit_plots:
-        for series, rep in zip(series_list, reports):
-            write_plot_files(series, rep, config.output_dir / "plots")
+        for rep in reports:
+            write_plot_files(rep, config.output_dir / "plots")
     report_path = config.output_dir / "report.json"
     write_report_atomic(payload, report_path)
 

@@ -73,6 +73,10 @@ class NonFinitePrice(MarketRegError):
     series was built with such a close."""
 
 
+class FluctuationOverflow(MarketRegError):
+    """A day-over-day percentage change is too large for a float64."""
+
+
 class PathRejectionLimit(MarketRegError):
     """Too many consecutive rejected steps while simulating a price path."""
 

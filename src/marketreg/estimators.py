@@ -23,6 +23,7 @@ from .errors import (
     DegenerateFit,
     DegenerateInput,
     DegenerateX,
+    FluctuationOverflow,
     InsufficientData,
     NonPositivePrice,
     NoVolumeData,
@@ -30,11 +31,13 @@ from .errors import (
 from .series import (
     MIN_DAYS_PER_MONTH,
     DailySeries,
-    FluctuationSeries,
-    MonthlyAggregate,
+    MonthlyTable,
+    _close_at,
     finite_closes,
+    log_series,
     log_volumes,
     monthly_aggregates,
+    read_only,
 )
 
 DEFAULT_BIN_WIDTH = 0.1  # percent; resolves sigma in the 1-3 range with 20-60 bins
@@ -62,21 +65,22 @@ class FitResult:
         return self.intercept + self.slope * np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
-    """Unnormalized frequency counts over uniform, left-closed right-open bins.
+    """Unnormalized frequency counts over uniform, left-closed right-open bins,
+    as read-only float arrays.
 
     ``build_histogram`` always produces integer counts; the type itself
     tolerates real-valued counts so that exactly manufactured model data can
     be fitted without rounding.
     """
 
-    bin_edges: tuple[float, ...]
-    counts: tuple[float, ...]
+    bin_edges: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        edges = tuple(float(e) for e in self.bin_edges)
-        counts = tuple(float(c) for c in self.counts)
+        edges = read_only(np.array(self.bin_edges, dtype=float))
+        counts = read_only(np.array(self.counts, dtype=float))
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
         if len(edges) < 2:
@@ -88,27 +92,11 @@ class Histogram:
             raise ValueError("bin edges must be strictly increasing")
         if not np.allclose(widths, widths[0], rtol=1e-9, atol=0.0):
             raise ValueError("bins must have uniform width")
-        if any(c < 0 for c in counts):
+        if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
 
-    @property
-    def width(self) -> float:
-        return self.bin_edges[1] - self.bin_edges[0]
-
     def centers(self) -> np.ndarray:
-        edges = np.asarray(self.bin_edges)
-        return 0.5 * (edges[:-1] + edges[1:])
-
-    def occupied_range(self) -> slice:
-        """Slice from the first to the last nonzero-count bin, inclusive."""
-        nonzero = [i for i, c in enumerate(self.counts) if c > 0]
-        if not nonzero:
-            return slice(0, 0)
-        return slice(nonzero[0], nonzero[-1] + 1)
-
-    @property
-    def n_occupied(self) -> int:
-        return sum(1 for c in self.counts if c > 0)
+        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
 @dataclass(frozen=True)
@@ -137,6 +125,8 @@ class RegularityReport:
     ``nu`` is None exactly when the source has no usable volume column, and
     ``f0`` is None when the amplitude fit legitimately refuses (a constant
     price series has sigma = 0); the reason is recorded in ``errors``.
+    The fields from ``ln_close`` on hold, read-only, what the fits were made
+    from, so that the plot files need not compute it again.
     """
 
     index_name: str
@@ -158,6 +148,12 @@ class RegularityReport:
     gaussian: GaussianOffsetFit | None = None
     diagnostics: dict[str, FitResult] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
+    ln_close: np.ndarray | None = field(default=None, compare=False, repr=False)
+    fluctuations: np.ndarray | None = field(default=None, compare=False, repr=False)
+    histogram: Histogram | None = field(default=None, compare=False, repr=False)
+    monthly: MonthlyTable | None = field(default=None, compare=False, repr=False)
+    volume_t: np.ndarray | None = field(default=None, compare=False, repr=False)
+    ln_volume: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("a", "mu", "sigma", "m", "w"):
@@ -177,22 +173,18 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y))
 
 
-def linear_least_squares(points, through_origin: bool = False) -> FitResult:
-    """Ordinary least squares over (x, y) pairs.
+def linear_least_squares(x, y, through_origin: bool = False) -> FitResult:
+    """Ordinary least squares of y on x, two equal-length 1-D sequences.
 
     The default fit carries an intercept; ``through_origin`` forces the line
     through (0, 0), in which case r_squared is the uncentered version.
     ``stderr_slope`` is the usual OLS slope standard error (defined as 0 when
     there are no residual degrees of freedom).
     """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (x, y) pairs")
-    return _fit_line(pts[:, 0], pts[:, 1], through_origin)
-
-
-def _fit_line(x: np.ndarray, y: np.ndarray, through_origin: bool = False) -> FitResult:
-    """``linear_least_squares`` over the float arrays of x and y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be 1-D and of equal length")
     n = x.shape[0]
     if n < 2:
         raise InsufficientData("a line fit needs at least 2 points")
@@ -233,39 +225,50 @@ def fit_daily_growth(series: DailySeries) -> tuple[float, FitResult]:
     Fits ln(close) against the trading-day index; the slope times 100 is the
     growth rate. Exact exponential input is recovered exactly.
     """
-    closes = finite_closes(series)
-    if np.any(closes <= 0):
-        raise NonPositivePrice("series contains a nonpositive close")
-    fit = _fit_line(np.arange(len(series), dtype=float), np.log(closes))
+    t, ln_close = log_series(series).T
+    fit = linear_least_squares(t, ln_close)
     return 100.0 * fit.slope, fit
 
 
-def daily_fluctuations(series: DailySeries) -> FluctuationSeries:
-    """Daily percentage change of the close with respect to the previous day."""
+def daily_fluctuations(series: DailySeries) -> np.ndarray:
+    """Daily percentage change of the close with respect to the previous day,
+    as a read-only array one shorter than the series.
+
+    Raises NonPositivePrice at the first nonpositive previous-day close and
+    FluctuationOverflow where a change does not fit a float64.
+    """
     if len(series) < 2:
         raise InsufficientData("need at least 2 records for fluctuations")
     closes = finite_closes(series)
     prev = closes[:-1]
-    if np.any(prev <= 0):
-        raise NonPositivePrice("previous-day close <= 0, fluctuation undefined")
-    values = 100.0 * (closes[1:] - prev) / prev
-    return FluctuationSeries(values, series.index_name)
+    bad = np.flatnonzero(prev <= 0)
+    if bad.size:
+        raise NonPositivePrice(_close_at(series, int(bad[0])))
+    with np.errstate(over="ignore"):
+        values = 100.0 * (closes[1:] - prev) / prev
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise FluctuationOverflow(
+            f"fluctuation overflows float64: {_close_at(series, k)}, {_close_at(series, k + 1)}"
+        )
+    return read_only(values)
 
 
-def fluctuation_moments(fluct: FluctuationSeries) -> tuple[float, float]:
+def fluctuation_moments(fluct: np.ndarray) -> tuple[float, float]:
     """Mean and population standard deviation of the fluctuation distribution.
 
     sigma is computed as sqrt(<delta^2> - mu^2), the population convention.
     """
     if len(fluct) < 2:
         raise InsufficientData("need at least 2 fluctuations for moments")
-    d = fluct.as_array()
+    d = np.asarray(fluct, dtype=float)
     mu = float(d.mean())
     variance = max(float(np.mean(d * d)) - mu * mu, 0.0)
     return mu, math.sqrt(variance)
 
 
-def build_histogram(fluct: FluctuationSeries, bin_width: float = DEFAULT_BIN_WIDTH) -> Histogram:
+def build_histogram(fluct: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> Histogram:
     """Unnormalized frequency distribution of the fluctuations.
 
     Uniform bins span [min - width, max + width] so the extreme observations
@@ -275,7 +278,7 @@ def build_histogram(fluct: FluctuationSeries, bin_width: float = DEFAULT_BIN_WID
         raise ValueError("bin_width must be > 0")
     if len(fluct) < 1:
         raise InsufficientData("cannot bin an empty fluctuation series")
-    d = fluct.as_array()
+    d = np.asarray(fluct, dtype=float)
     lo = float(d.min()) - bin_width
     hi = float(d.max()) + bin_width
     n_bins = max(1, math.ceil((hi - lo) / bin_width))
@@ -283,7 +286,7 @@ def build_histogram(fluct: FluctuationSeries, bin_width: float = DEFAULT_BIN_WID
         n_bins += 1
     edges = lo + bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(d, bins=edges)
-    return Histogram(tuple(edges), tuple(int(c) for c in counts))
+    return Histogram(edges, counts)
 
 
 def fit_gaussian_offset(hist: Histogram, mu: float, sigma: float) -> GaussianOffsetFit:
@@ -297,11 +300,12 @@ def fit_gaussian_offset(hist: Histogram, mu: float, sigma: float) -> GaussianOff
     """
     if sigma <= 0:
         raise DegenerateFit("sigma must be positive to shape the Gaussian")
-    if hist.n_occupied < 3:
+    occupied = np.flatnonzero(hist.counts > 0)
+    if occupied.size < 3:
         raise InsufficientData("need at least 3 occupied bins")
-    window = hist.occupied_range()
+    window = slice(occupied[0], occupied[-1] + 1)  # first to last occupied bin
     centers = hist.centers()[window]
-    counts = np.asarray(hist.counts)[window]
+    counts = hist.counts[window]
     g = np.exp(-((centers - mu) ** 2) / (2.0 * sigma**2))
     denom = _dot(g, g)
     if denom == 0.0:
@@ -310,20 +314,18 @@ def fit_gaussian_offset(hist: Histogram, mu: float, sigma: float) -> GaussianOff
     return GaussianOffsetFit(mu=mu, sigma=sigma, f0=max(f0, 0.0))
 
 
-def fit_monthly_growth(aggregates: list[MonthlyAggregate]) -> tuple[float, FitResult]:
+def fit_monthly_growth(monthly: MonthlyTable) -> tuple[float, FitResult]:
     """Slope of the monthly mean of ln(close) against the month index.
 
     Natural-log units per month, not percent.
     """
-    if len(aggregates) < 2:
+    if len(monthly) < 2:
         raise InsufficientData("need at least 2 monthly aggregates")
-    fit = linear_least_squares((agg.tau, agg.mean_log) for agg in aggregates)
+    fit = linear_least_squares(monthly.tau, monthly.mean_log)
     return fit.slope, fit
 
 
-def fit_variance_decline(
-    aggregates: list[MonthlyAggregate], mode: str = "intercept"
-) -> tuple[float, FitResult]:
+def fit_variance_decline(monthly: MonthlyTable, mode: str = "intercept") -> tuple[float, FitResult]:
     """Slope of the within-month variance of ln(close) against the month index.
 
     ``mode="intercept"`` (default) fits var = w * tau + var0; a strictly
@@ -333,26 +335,22 @@ def fit_variance_decline(
     """
     if mode not in ("intercept", "origin"):
         raise ValueError(f"unknown variance fit mode {mode!r}")
-    if len(aggregates) < 2:
+    if len(monthly) < 2:
         raise InsufficientData("need at least 2 monthly aggregates")
-    fit = linear_least_squares(
-        ((agg.tau, agg.var_log) for agg in aggregates),
-        through_origin=(mode == "origin"),
-    )
+    fit = linear_least_squares(monthly.tau, monthly.var_log, through_origin=(mode == "origin"))
     return fit.slope, fit
 
 
-def detect_variance_spike(aggregates: list[MonthlyAggregate]) -> tuple[int, float]:
+def detect_variance_spike(monthly: MonthlyTable) -> tuple[int, float]:
     """Month index and value of the largest within-month variance.
 
     Ties break toward the earliest month. Tall spikes mark market
     disruptions, such as the 2008 recession.
     """
-    if not aggregates:
+    if not len(monthly):
         raise InsufficientData("no aggregates to scan")
-    variances = [agg.var_log for agg in aggregates]
-    best = int(np.argmax(variances))  # argmax returns the first maximum
-    return aggregates[best].tau, variances[best]
+    best = int(np.argmax(monthly.var_log))  # argmax returns the first maximum
+    return int(monthly.tau[best]), float(monthly.var_log[best])
 
 
 def fit_volume_growth(series: DailySeries) -> tuple[float, FitResult]:
@@ -364,7 +362,7 @@ def fit_volume_growth(series: DailySeries) -> tuple[float, FitResult]:
     t, ln_volume = log_volumes(series)
     if len(t) < 2:
         raise NoVolumeData("fewer than 2 records with positive volume")
-    fit = _fit_line(t.astype(float), ln_volume)
+    fit = linear_least_squares(t, ln_volume)
     return 100.0 * fit.slope, fit
 
 
@@ -401,11 +399,10 @@ def analyze_index(
     a, fit_a = fit_daily_growth(series)
     fluct = daily_fluctuations(series)
     mu, sigma = fluctuation_moments(fluct)
-    aggregates = monthly_aggregates(series, min_days_per_month)
-    m, fit_m = fit_monthly_growth(aggregates)
-    w, fit_w = fit_variance_decline(aggregates, variance_fit_mode)
-    spike_tau, spike_value = detect_variance_spike(aggregates)
-    spike_month = next(agg.month for agg in aggregates if agg.tau == spike_tau)
+    monthly = monthly_aggregates(series, min_days_per_month)
+    m, fit_m = fit_monthly_growth(monthly)
+    w, fit_w = fit_variance_decline(monthly, variance_fit_mode)
+    spike_tau, spike_value = detect_variance_spike(monthly)
 
     errors: dict[str, str] = {}
     diagnostics = {
@@ -416,12 +413,14 @@ def analyze_index(
 
     gaussian: GaussianOffsetFit | None = None
     f0: float | None = None
+    histogram = build_histogram(fluct, bin_width)
     try:
-        gaussian = fit_gaussian_offset(build_histogram(fluct, bin_width), mu, sigma)
+        gaussian = fit_gaussian_offset(histogram, mu, sigma)
         f0 = gaussian.f0
     except (DegenerateFit, InsufficientData) as exc:
         errors["f0"] = str(exc)
 
+    volume_t, ln_volume = log_volumes(series)
     nu: float | None = None
     try:
         nu, fit_nu = fit_volume_growth(series)
@@ -440,13 +439,19 @@ def analyze_index(
         nu=nu,
         spike_tau=spike_tau,
         spike_value=spike_value,
-        spike_month=spike_month,
+        spike_month=monthly.calendar_month(spike_tau),  # tau is the row number
         n_records=len(series),
-        n_months=len(aggregates),
+        n_months=len(monthly),
         bin_width=bin_width,
         variance_fit_mode=variance_fit_mode,
         min_days_per_month=min_days_per_month,
         gaussian=gaussian,
         diagnostics=diagnostics,
         errors=errors,
+        ln_close=read_only(log_series(series)[:, 1].copy()),  # copied, so the t column is freed
+        fluctuations=fluct,
+        histogram=histogram,
+        monthly=monthly,
+        volume_t=volume_t,
+        ln_volume=ln_volume,
     )

@@ -22,14 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData, PlotNameCollision
-from .estimators import (
-    RegularityReport,
-    build_histogram,
-    daily_fluctuations,
-    pearson_correlation,
-)
+from .estimators import RegularityReport, pearson_correlation
 from .ingest import format_rows
-from .series import DailySeries, log_series, log_volumes, monthly_aggregates
+
+# Unused here: perfbench/layers.py wraps these names as boundaries of this module.
+from .estimators import build_histogram, daily_fluctuations  # noqa: F401
+from .series import log_series, monthly_aggregates  # noqa: F401
 
 
 def _display_number(x: float | None, decimals: int) -> str:
@@ -159,8 +157,9 @@ def _write_tsv(path: Path, comments: list[str], header: list[str], columns: list
         fh.writelines(format_rows("\t".join(cells) + "\n", varying))
 
 
-def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Path) -> list[Path]:
-    """Emit the six plot-ready TSV files for one analyzed index.
+def write_plot_files(report: RegularityReport, out_dir: Path) -> list[Path]:
+    """Emit the six plot-ready TSV files for one index analyzed by
+    ``analyze_index``, from the intermediates its report carries.
 
     Every file carries the fitted line (or model curve) as an extra column
     whose slope equals the corresponding report field exactly. The volume
@@ -171,7 +170,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
     stem = _safe_name(report.index_name)
     written: list[Path] = []
 
-    t, ln_close = log_series(series).T
+    t = np.arange(report.n_records)
     fit_a = report.diagnostics["daily_growth"]
     path = out_dir / f"{stem}_daily_log_price.tsv"
     _write_tsv(
@@ -183,13 +182,11 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"slope = {fit_a.slope!r}; intercept = {fit_a.intercept!r}",
         ],
         ["t_days", "ln_close", "fit_ln_close"],
-        [t.astype(int), ln_close, fit_a.predict(t)],
+        [t, report.ln_close, fit_a.predict(t)],
     )
     written.append(path)
 
-    fluct = daily_fluctuations(series)
-    d = fluct.as_array()
-    td = np.arange(1, len(series))
+    td = np.arange(1, report.n_records)
     path = out_dir / f"{stem}_fluctuation_series.tsv"
     _write_tsv(
         path,
@@ -199,11 +196,11 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"mean_pct = {report.mu!r}",
         ],
         ["t_days", "delta_pct", "mean_pct"],
-        [td, d, str(report.mu)],
+        [td, report.fluctuations, str(report.mu)],
     )
     written.append(path)
 
-    hist = build_histogram(fluct, report.bin_width)
+    hist = report.histogram
     centers = hist.centers()
     if report.gaussian is not None:
         model = report.gaussian.evaluate(centers)
@@ -221,12 +218,11 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             model_note,
         ],
         ["delta_center_pct", "count", "model_count"],
-        [centers, np.array(hist.counts).astype(np.int64), model],
+        [centers, hist.counts.astype(np.int64), model],
     )
     written.append(path)
 
-    aggregates = monthly_aggregates(series, report.min_days_per_month)
-    taus = np.array([agg.tau for agg in aggregates], dtype=float)
+    monthly = report.monthly
     fit_m = report.diagnostics["monthly_growth"]
     path = out_dir / f"{stem}_monthly_mean_log.tsv"
     _write_tsv(
@@ -237,7 +233,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"fit: mean_log = intercept + slope*tau; slope_per_month = {report.m!r}",
         ],
         ["tau_months", "mean_log", "fit_mean_log"],
-        [taus.astype(int), np.array([agg.mean_log for agg in aggregates]), fit_m.predict(taus)],
+        [monthly.tau, monthly.mean_log, fit_m.predict(monthly.tau)],
     )
     written.append(path)
 
@@ -252,12 +248,11 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
             f"spike: tau = {report.spike_tau}, var_log = {report.spike_value!r}",
         ],
         ["tau_months", "var_log", "fit_var_log"],
-        [taus.astype(int), np.array([agg.var_log for agg in aggregates]), fit_w.predict(taus)],
+        [monthly.tau, monthly.var_log, fit_w.predict(monthly.tau)],
     )
     written.append(path)
 
     if "volume_growth" in report.diagnostics:
-        tv, ln_vol = log_volumes(series)
         fit_v = report.diagnostics["volume_growth"]
         path = out_dir / f"{stem}_daily_log_volume.tsv"
         _write_tsv(
@@ -268,7 +263,7 @@ def write_plot_files(series: DailySeries, report: RegularityReport, out_dir: Pat
                 f"fit: ln_volume = intercept + slope*t; slope_pct_per_day = {report.nu!r}",
             ],
             ["t_days", "ln_volume", "fit_ln_volume"],
-            [tv, ln_vol, fit_v.predict(tv)],
+            [report.volume_t, report.ln_volume, fit_v.predict(report.volume_t)],
         )
         written.append(path)
 

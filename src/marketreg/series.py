@@ -8,7 +8,7 @@ give a usable dispersion estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date as Date
 
 import numpy as np
@@ -42,6 +42,12 @@ class DailyRecord:
 # date.toordinal() counts days from 0001-01-01, datetime64[D] from 1970-01-01.
 _EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()
 _DAY_RANGE = np.array([Date.min, Date.max], dtype="datetime64[D]")
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` with its writeable flag cleared."""
+    array.flags.writeable = False
+    return array
 
 
 def day_column(ordinals) -> np.ndarray:
@@ -111,8 +117,7 @@ class DailySeries:
         if np.any(columns["volume"] < 0):
             raise ValueError("volume must be >= 0")
         for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, read_only(column))
         object.__setattr__(self, "index_name", index_name)
 
     def __len__(self) -> int:
@@ -152,54 +157,44 @@ class DailySeries:
         return DailySeries.from_columns(self.dates, self.close, volumes, self.index_name)
 
 
-@dataclass(frozen=True)
-class FluctuationSeries:
-    """Day-over-day percentage changes, one per record pair of the source.
+@dataclass(frozen=True, eq=False)
+class MonthlyTable:
+    """Mean and population standard deviation of ln(close) per calendar month:
+    read-only columns, one row per retained month.
 
-    Element k-1 is the percentage change from day k-1 to day k, so the
-    series is one shorter than the price series it came from.
+    ``tau`` counts retained months from 0 (from ``monthly_aggregates``, it is
+    the row number); ``month`` is the calendar month as months since 1970-01.
+    ``var_log`` squares by ``pow``, as ``float(s) ** 2`` does: numpy's
+    ``s**2`` differs from it in the last bit for about 1 value in 1,000.
     """
 
-    values: tuple[float, ...]
-    source: str = "unnamed"
+    tau: np.ndarray
+    month: np.ndarray
+    mean_log: np.ndarray
+    std_log: np.ndarray
+    n_days: np.ndarray
+    var_log: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", tuple(vals.tolist()))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("every fluctuation must be finite")
+        columns = {"tau": np.int64, "month": np.int64, "mean_log": float,
+                   "std_log": float, "n_days": np.int64}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=dtype)))
+        if any(len(getattr(self, name)) != len(self.tau) for name in columns):
+            raise ValueError("every column must have one entry per month")
+        if np.any(self.std_log < 0):
+            raise ValueError("std_log must be >= 0")
+        if np.any(self.n_days < 1):
+            raise ValueError("n_days must be >= 1")
+        object.__setattr__(self, "var_log", read_only(np.float_power(self.std_log, 2)))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.tau)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
-class MonthlyAggregate:
-    """Mean and population standard deviation of ln(close) over one calendar month.
-
-    ``tau`` counts retained months from 0; ``month`` is the (year, month)
-    the aggregate was computed from, kept so that spikes can be located on
-    the calendar.
-    """
-
-    tau: int
-    mean_log: float
-    std_log: float
-    n_days: int
-    month: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.std_log < 0:
-            raise ValueError("std_log must be >= 0")
-        if self.n_days < 1:
-            raise ValueError("n_days must be >= 1")
-
-    @property
-    def var_log(self) -> float:
-        return self.std_log**2
+    def calendar_month(self, row: int) -> tuple[int, int]:
+        """(year, month) of one row."""
+        key = int(self.month[row])
+        return 1970 + key // 12, key % 12 + 1
 
 
 def _close_at(series: DailySeries, t: int) -> str:
@@ -229,18 +224,16 @@ def log_series(series: DailySeries) -> np.ndarray:
 
 
 def log_volumes(series: DailySeries) -> tuple[np.ndarray, np.ndarray]:
-    """Trading-day index and natural log of every reported positive volume."""
+    """Trading-day index and natural log of every reported positive volume, read-only."""
     t = np.flatnonzero(series.volume_mask & (series.volume > 0))
-    return t, np.log(series.volume[t].astype(float))
+    return read_only(t), read_only(np.log(series.volume[t].astype(float)))
 
 
-def monthly_aggregates(
-    series: DailySeries, min_days: int = MIN_DAYS_PER_MONTH
-) -> list[MonthlyAggregate]:
+def monthly_aggregates(series: DailySeries, min_days: int = MIN_DAYS_PER_MONTH) -> MonthlyTable:
     """Aggregate ln(close) by calendar month.
 
-    Each retained month yields the arithmetic mean and the population
-    (divide-by-n) standard deviation of ln(close) over its trading days.
+    Each retained month is one row of the table: the arithmetic mean and the
+    population (divide-by-n) standard deviation of ln(close) over its days.
     Months with fewer than ``min_days`` trading days are dropped and tau is
     assigned sequentially over the months that remain.
 
@@ -260,8 +253,4 @@ def monthly_aggregates(
     kept = np.flatnonzero(n_days >= min_days)
     if not kept.size:
         raise InsufficientData(f"no calendar month has at least {min_days} trading days")
-    columns = (keys[kept].tolist(), mean[kept].tolist(), std[kept].tolist(), n_days[kept].tolist())
-    return [
-        MonthlyAggregate(tau, mean_log, std_log, n, month=(1970 + key // 12, key % 12 + 1))
-        for tau, (key, mean_log, std_log, n) in enumerate(zip(*columns))
-    ]
+    return MonthlyTable(np.arange(kept.size), keys[kept], mean[kept], std[kept], n_days[kept])

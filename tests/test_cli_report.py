@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import marketreg
-from marketreg import cli
+from marketreg import cli, estimators, report, series
 from marketreg.cli import main
 from marketreg.errors import MarketRegError
 from marketreg.estimators import analyze_index
@@ -91,7 +92,7 @@ class TestPlotFiles:
         series = parse_daily_path(path)
         rep = analyze_index(series, min_days_per_month=5)
         assert rep.n_months != analyze_index(series).n_months
-        files = {f.name: f for f in write_plot_files(series, rep, tmp_path / "plots")}
+        files = {f.name: f for f in write_plot_files(rep, tmp_path / "plots")}
         for name in ("sim_monthly_mean_log.tsv", "sim_monthly_variance.tsv"):
             lines = files[name].read_text().splitlines()
             rows = [line for line in lines[1:] if not line.startswith("#")]
@@ -102,7 +103,7 @@ class TestPlotFiles:
         path = simulate_file(tmp_path)
         series = parse_daily_path(path)
         rep = analyze_index(series)
-        files = write_plot_files(series, rep, tmp_path / "plots")
+        files = write_plot_files(rep, tmp_path / "plots")
         names = sorted(f.name.split("sim_", 1)[1] for f in files)
         assert names == sorted(
             [
@@ -118,7 +119,7 @@ class TestPlotFiles:
     def test_volume_file_skipped_without_volume(self, tmp_path):
         path = simulate_file(tmp_path, with_volume=False)
         series = parse_daily_path(path)
-        files = write_plot_files(series, analyze_index(series), tmp_path / "plots")
+        files = write_plot_files(analyze_index(series), tmp_path / "plots")
         assert len(files) == 5
         assert not any("volume" in f.name for f in files)
 
@@ -126,7 +127,7 @@ class TestPlotFiles:
         path = simulate_file(tmp_path)
         series = parse_daily_path(path)
         rep = analyze_index(series)
-        files = {f.name: f for f in write_plot_files(series, rep, tmp_path / "plots")}
+        files = {f.name: f for f in write_plot_files(rep, tmp_path / "plots")}
 
         def embedded(fname, key):
             for line in files[fname].read_text().splitlines():
@@ -139,11 +140,31 @@ class TestPlotFiles:
         assert embedded("sim_monthly_variance.tsv", "slope_per_month") == rep.w
         assert embedded("sim_daily_log_volume.tsv", "slope_pct_per_day") == rep.nu
 
+    def test_written_from_the_report_alone(self, tmp_path, monkeypatch):
+        # analyze_index is the only place intermediates are computed: with
+        # every function that computes one made to raise, wherever it is
+        # looked up, the plot files still come out byte for byte the same.
+        rep = analyze_index(parse_daily_path(simulate_file(tmp_path)))
+        before = {f.name: f.read_bytes() for f in write_plot_files(rep, tmp_path / "before")}
+        assert len(before) == 6
+
+        def recomputed(*_args, **_kwargs):
+            raise AssertionError("an intermediate was computed again")
+
+        names = ["log_series", "daily_fluctuations", "build_histogram", "monthly_aggregates",
+                 "log_volumes"]
+        for module in (series, estimators, report):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recomputed)
+        after = {f.name: f.read_bytes() for f in write_plot_files(rep, tmp_path / "after")}
+        assert after == before
+
     def test_fitted_column_consistent_with_fit(self, tmp_path):
         path = simulate_file(tmp_path, with_volume=False)
         series = parse_daily_path(path)
         rep = analyze_index(series)
-        files = {f.name: f for f in write_plot_files(series, rep, tmp_path / "plots")}
+        files = {f.name: f for f in write_plot_files(rep, tmp_path / "plots")}
         body = [
             line.split("\t")
             for line in files["sim_daily_log_price.tsv"].read_text().splitlines()
@@ -195,6 +216,17 @@ class TestAnalyzeCommand:
         rc = main(["analyze", "--input", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "line 3: non-finite price 'inf'" in capsys.readouterr().err
+
+    def test_fluctuation_overflow_exits_2_naming_both_days(self, tmp_path, capsys):
+        bad = tmp_path / "tiny.csv"
+        bad.write_text("Date,Close\n2019-01-01,1.5\n2019-01-02,1e-300\n2019-01-03,1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["analyze", "--input", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "t=1 (2019-01-02) is 1e-300, close at t=2 (2019-01-03) is 1e+300" in err
+        assert "RuntimeWarning" not in err and "overflow encountered" not in err
 
     def test_estimation_error_exits_3_without_report(self, tmp_path, capsys):
         short = simulate_file(tmp_path, name="short.csv", days=30, with_volume=False)

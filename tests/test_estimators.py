@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from marketreg.errors import (
     DegenerateFit,
     DegenerateInput,
     DegenerateX,
+    FluctuationOverflow,
     InsufficientData,
     NonFinitePrice,
     NonPositivePrice,
@@ -34,12 +36,7 @@ from marketreg.estimators import (
     linear_least_squares,
     pearson_correlation,
 )
-from marketreg.series import (
-    FluctuationSeries,
-    MonthlyAggregate,
-    log_series,
-    monthly_aggregates,
-)
+from marketreg.series import MonthlyTable, log_series, monthly_aggregates
 from marketreg.simulate import (
     GbmParams,
     VolatilitySchedule,
@@ -51,24 +48,34 @@ from marketreg.simulate import (
 GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
 
 
+def monthly_table(taus, means, stds):
+    """A MonthlyTable of 21-day months whose calendar key is the month index."""
+    return MonthlyTable(taus, taus, means, stds, [21] * len(taus))
+
+
 def aggregates_from_var(variances, means=None):
     means = means if means is not None else [0.0] * len(variances)
-    return [
-        MonthlyAggregate(tau, m, math.sqrt(v), 21)
-        for tau, (v, m) in enumerate(zip(variances, means))
-    ]
+    stds = [math.sqrt(v) for v in variances]
+    return monthly_table(list(range(len(variances))), means, stds)
+
+
+def fit_pairs(points, through_origin=False):
+    """``linear_least_squares`` over a list of (x, y) pairs."""
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    return linear_least_squares(xs, ys, through_origin=through_origin)
 
 
 class TestLinearLeastSquares:
     def test_exact_line(self):
-        fit = linear_least_squares([(0, 0), (1, 1), (2, 2)])
+        fit = fit_pairs([(0, 0), (1, 1), (2, 2)])
         assert fit.slope == pytest.approx(1.0, abs=1e-15)
         assert fit.intercept == pytest.approx(0.0, abs=1e-15)
         assert fit.r_squared == 1.0
         assert fit.stderr_slope == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_y(self):
-        fit = linear_least_squares([(0, 1), (1, 1), (2, 1)])
+        fit = fit_pairs([(0, 1), (1, 1), (2, 1)])
         assert fit.slope == pytest.approx(0.0, abs=1e-15)
         assert fit.intercept == pytest.approx(1.0, abs=1e-15)
 
@@ -77,7 +84,7 @@ class TestLinearLeastSquares:
         # (9-6)/(15-9) = 1/2 and intercept (2 - 3/2)/3 = 1/6; residuals
         # (-1/6, 1/3, -1/6) give SSE = 1/6, SST = 2/3, so r2 = 3/4 and
         # stderr = sqrt((1/6)/1/2) = sqrt(1/12).
-        fit = linear_least_squares([(0, 0), (1, 1), (2, 1)])
+        fit = fit_pairs([(0, 0), (1, 1), (2, 1)])
         assert fit.slope == pytest.approx(0.5, abs=1e-12)
         assert fit.intercept == pytest.approx(1 / 6, abs=1e-12)
         assert fit.r_squared == pytest.approx(0.75, abs=1e-12)
@@ -85,20 +92,26 @@ class TestLinearLeastSquares:
 
     def test_degenerate_x(self):
         with pytest.raises(DegenerateX):
-            linear_least_squares([(1, 0), (1, 1)])
+            fit_pairs([(1, 0), (1, 1)])
 
     def test_needs_two_points(self):
         with pytest.raises(InsufficientData):
-            linear_least_squares([(0, 0)])
+            fit_pairs([(0, 0)])
+
+    def test_x_and_y_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            linear_least_squares([0.0, 1.0, 2.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            linear_least_squares([[0.0, 1.0]], [[0.0, 1.0]])
 
     def test_through_origin(self):
-        fit = linear_least_squares([(1, 2), (2, 4), (3, 6)], through_origin=True)
+        fit = fit_pairs([(1, 2), (2, 4), (3, 6)], through_origin=True)
         assert fit.slope == pytest.approx(2.0, abs=1e-15)
         assert fit.intercept == 0.0
         assert fit.r_squared == 1.0
 
     def test_two_points_have_zero_stderr(self):
-        fit = linear_least_squares([(0, 1), (1, 3)])
+        fit = fit_pairs([(0, 1), (1, 3)])
         assert fit.stderr_slope == 0.0
 
     @given(
@@ -115,10 +128,10 @@ class TestLinearLeastSquares:
         oracle = ols_oracle(points)
         if oracle is None:
             with pytest.raises(DegenerateX):
-                linear_least_squares(points)
+                fit_pairs(points)
             return
         slope, intercept, r2, stderr = oracle
-        fit = linear_least_squares(points)
+        fit = fit_pairs(points)
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.intercept == pytest.approx(intercept, abs=1e-9)
         assert fit.r_squared == pytest.approx(r2, abs=1e-9)
@@ -139,8 +152,8 @@ class TestLinearLeastSquares:
     )
     def test_slope_invariant_under_time_shift(self, points, shift):
         # Re-indexing t from any origin must not move the slope.
-        base = linear_least_squares(points)
-        shifted = linear_least_squares([(x + shift, y) for x, y in points])
+        base = fit_pairs(points)
+        shifted = fit_pairs([(x + shift, y) for x, y in points])
         assert shifted.slope == pytest.approx(base.slope, rel=1e-9, abs=1e-9)
 
     def test_fit_result_invariants(self):
@@ -170,29 +183,32 @@ class TestDailyGrowth:
 
 
 class TestNonFiniteCloses:
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize(
         "step", [analyze_index, fit_daily_growth, daily_fluctuations, monthly_aggregates, log_series]
     )
     def test_rejected_with_a_named_error(self, step, bad):
+        # Infinite and NaN closes are NonFinitePrice, zero and negative ones
+        # NonPositivePrice; either way the message names the day.
         closes = [100.0 * 1.001**k for k in range(63)]
         closes[30] = bad
-        with pytest.raises(NonFinitePrice, match=rf"close at t=30 \(2019-02-10\) is {bad}"):
+        error = NonFinitePrice if not math.isfinite(bad) else NonPositivePrice
+        with pytest.raises(error, match=rf"close at t=30 \(2019-02-10\) is {bad}"):
             step(series_from_closes(closes))
 
 
 class TestFluctuations:
     def test_one_percent_step(self):
         fluct = daily_fluctuations(series_from_closes([100.0, 101.0]))
-        assert fluct.values == (1.0,)
+        assert fluct.tolist() == [1.0]
 
     def test_constant_series(self):
         fluct = daily_fluctuations(series_from_closes([5.0] * 10))
-        assert all(v == 0.0 for v in fluct.values)
+        assert all(v == 0.0 for v in fluct)
 
     def test_hand_computed_values(self):
         fluct = daily_fluctuations(series_from_closes([100.0, 150.0, 75.0]))
-        assert fluct.values == (50.0, -50.0)
+        assert fluct.tolist() == [50.0, -50.0]
 
     def test_length_one_short_of_source(self):
         series = series_from_closes(range(1, 30))
@@ -206,19 +222,28 @@ class TestFluctuations:
         with pytest.raises(InsufficientData):
             daily_fluctuations(series_from_closes([100.0]))
 
+    def test_overflow_is_named_without_a_warning(self):
+        closes = [100.0 * 1.001**k for k in range(63)]
+        closes[40:42] = [1e-300, 1e300]
+        days = r"t=40 \(2019-02-20\) is 1e-300, close at t=41 \(2019-02-21\) is 1e\+300"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FluctuationOverflow, match=days):
+                analyze_index(series_from_closes(closes))
+
 
 class TestMoments:
     def test_symmetric_triple(self):
-        mu, sigma = fluctuation_moments(FluctuationSeries((-1.0, 0.0, 1.0)))
+        mu, sigma = fluctuation_moments(np.array([-1.0, 0.0, 1.0]))
         assert mu == pytest.approx(0.0, abs=1e-15)
         assert sigma == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
 
     def test_zeros(self):
-        assert fluctuation_moments(FluctuationSeries((0.0, 0.0, 0.0))) == (0.0, 0.0)
+        assert fluctuation_moments(np.array([0.0, 0.0, 0.0])) == (0.0, 0.0)
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
-            fluctuation_moments(FluctuationSeries((1.0,)))
+            fluctuation_moments(np.array([1.0]))
 
     @given(
         st.lists(
@@ -230,25 +255,25 @@ class TestMoments:
     def test_moment_identity(self, values):
         # sigma^2 + mu^2 must equal the mean of delta^2; this is the
         # definition restated.
-        mu, sigma = fluctuation_moments(FluctuationSeries(tuple(values)))
+        mu, sigma = fluctuation_moments(np.array(values, dtype=float))
         mean_sq = float(np.mean(np.square(values)))
         assert sigma**2 + mu**2 == pytest.approx(mean_sq, rel=1e-12, abs=1e-12)
 
     def test_matches_stdlib_oracle(self):
         values = [0.3, -1.2, 2.5, 0.0, -0.7, 1.1]
-        mu, sigma = fluctuation_moments(FluctuationSeries(tuple(values)))
+        mu, sigma = fluctuation_moments(np.array(values, dtype=float))
         assert mu == pytest.approx(statistics.fmean(values), rel=1e-12)
         assert sigma == pytest.approx(statistics.pstdev(values), rel=1e-12)
 
 
 class TestHistogram:
     def test_single_value(self):
-        hist = build_histogram(FluctuationSeries((0.05,)), 0.1)
+        hist = build_histogram(np.array([0.05]), 0.1)
         assert sum(hist.counts) == 1
-        assert hist.n_occupied == 1
+        assert np.count_nonzero(hist.counts) == 1
 
     def test_two_known_bins(self):
-        hist = build_histogram(FluctuationSeries((0.0, 0.0, 1.0)), 0.5)
+        hist = build_histogram(np.array([0.0, 0.0, 1.0]), 0.5)
         edges = np.asarray(hist.bin_edges)
         bin_of_zero = int(np.searchsorted(edges, 0.0, side="right")) - 1
         bin_of_one = int(np.searchsorted(edges, 1.0, side="right")) - 1
@@ -257,7 +282,7 @@ class TestHistogram:
 
     def test_center_bin_matches_gaussian_density(self):
         draws = wiener_increments(100_000, dt=1.0, seed=123)
-        hist = build_histogram(FluctuationSeries(tuple(draws)), 0.1)
+        hist = build_histogram(draws, 0.1)
         edges = np.asarray(hist.bin_edges)
         center_bin = int(np.searchsorted(edges, 0.0, side="right")) - 1
         expected = 100_000 * 0.1 * GAUSS_PEAK
@@ -265,9 +290,9 @@ class TestHistogram:
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientData):
-            build_histogram(FluctuationSeries(()), 0.1)
+            build_histogram(np.array([]), 0.1)
         with pytest.raises(ValueError):
-            build_histogram(FluctuationSeries((1.0,)), 0.0)
+            build_histogram(np.array([1.0]), 0.0)
 
     @given(
         st.lists(
@@ -279,7 +304,7 @@ class TestHistogram:
     )
     @settings(max_examples=80)
     def test_counts_partition_every_value(self, values, width):
-        hist = build_histogram(FluctuationSeries(tuple(values)), width)
+        hist = build_histogram(np.array(values, dtype=float), width)
         assert sum(hist.counts) == len(values)
         assert min(values) >= hist.bin_edges[0]
         assert max(values) < hist.bin_edges[-1]
@@ -325,9 +350,8 @@ class TestGaussianOffsetFit:
 
     def test_sampled_gaussian_amplitude(self):
         draws = wiener_increments(100_000, dt=1.0, seed=123)
-        fluct = FluctuationSeries(tuple(draws))
-        mu, sigma = fluctuation_moments(fluct)
-        fit = fit_gaussian_offset(build_histogram(fluct, 0.1), mu, sigma)
+        mu, sigma = fluctuation_moments(draws)
+        fit = fit_gaussian_offset(build_histogram(draws, 0.1), mu, sigma)
         expected = 100_000 * 0.1 * GAUSS_PEAK
         assert abs(fit.f0 - expected) <= 0.10 * expected
 
@@ -359,8 +383,8 @@ class TestGaussianOffsetFit:
 
 class TestMonthlyFits:
     def test_identity_line(self):
-        aggs = [MonthlyAggregate(t, float(t), 0.0, 21) for t in range(10)]
-        m, fit = fit_monthly_growth(aggs)
+        taus = list(range(10))
+        m, fit = fit_monthly_growth(monthly_table(taus, [float(t) for t in taus], [0.0] * 10))
         assert m == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless_exponential_identity(self):
@@ -372,7 +396,7 @@ class TestMonthlyFits:
 
     def test_needs_two_aggregates(self):
         with pytest.raises(InsufficientData):
-            fit_monthly_growth([MonthlyAggregate(0, 1.0, 0.0, 21)])
+            fit_monthly_growth(monthly_table([0], [1.0], [0.0]))
 
     def test_variance_decline_exact_line(self):
         variances = [0.01 - 1e-6 * t for t in range(200)]
@@ -382,7 +406,8 @@ class TestMonthlyFits:
 
     def test_variance_decline_origin_mode(self):
         variances = [5e-4 * t for t in range(1, 100)]
-        aggs = [MonthlyAggregate(t + 1, 0.0, math.sqrt(v), 21) for t, v in enumerate(variances)]
+        stds = [math.sqrt(v) for v in variances]
+        aggs = monthly_table(list(range(1, 100)), [0.0] * 99, stds)
         w, fit = fit_variance_decline(aggs, mode="origin")
         assert w == pytest.approx(5e-4, rel=1e-9)
         assert fit.intercept == 0.0
@@ -409,7 +434,7 @@ class TestVarianceSpike:
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientData):
-            detect_variance_spike([])
+            detect_variance_spike(aggregates_from_var([]))
 
 
 class TestVolumeGrowth:
@@ -527,8 +552,30 @@ class TestAnalyzeIndex:
         assert rep.spike_tau is not None
         assert rep.spike_month is not None
         assert rep.spike_value == pytest.approx(
-            max(agg.var_log for agg in monthly_aggregates(series)), rel=1e-12
+            max(monthly_aggregates(series).var_log), rel=1e-12
         )
+
+    def test_intermediates_are_read_only(self):
+        series = simulate_gbm(GbmParams(a=3e-4, b=0.01, s0=1000.0, n_days=2100, seed=9))
+        rep = analyze_index(series.with_volumes(simulate_volume(4e-4, 1e6, 0.1, 2100, 10)))
+        monthly = rep.monthly
+        columns = [rep.ln_close, rep.fluctuations, rep.volume_t, rep.ln_volume,
+                   rep.histogram.bin_edges, rep.histogram.counts, monthly.tau, monthly.month,
+                   monthly.mean_log, monthly.std_log, monthly.var_log, monthly.n_days]
+        assert all(len(column) > 0 for column in columns)
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+
+    def test_monthly_variance_is_python_pow_of_std(self):
+        # float(s) ** 2 calls libm pow; numpy's s**2 and s*s multiply, which
+        # rounds differently in the last bit for about 1 value in 1,000.
+        # var_log must keep the pow value the plot files have always shown.
+        series = simulate_gbm(GbmParams(a=3e-4, b=0.012, s0=1000.0, n_days=100_000, seed=5))
+        table = monthly_aggregates(series)
+        expected = np.array([s**2 for s in table.std_log.tolist()])
+        assert np.any(table.std_log**2 != expected)  # the path tells the two apart
+        assert table.var_log.tolist() == expected.tolist()
 
     def test_insufficient_months_raises(self):
         with pytest.raises(InsufficientData):

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import month_dates, monthly_oracle, series_from_closes
-from marketreg.errors import InsufficientData, NonPositivePrice
+from marketreg.errors import FluctuationOverflow, InsufficientData, NonPositivePrice
+from marketreg.estimators import daily_fluctuations
 from marketreg.ingest import parse_daily_file
 from marketreg.series import (
     DailyRecord,
     DailySeries,
-    FluctuationSeries,
-    MonthlyAggregate,
+    MonthlyTable,
     log_series,
     monthly_aggregates,
 )
@@ -78,14 +78,17 @@ class TestTypes:
             )
 
     def test_fluctuations_must_be_finite(self):
-        with pytest.raises(ValueError):
-            FluctuationSeries((1.0, float("nan")))
+        days = r"t=0 \(2019-01-01\) is 1e-300, close at t=1 \(2019-01-02\) is 1e\+300"
+        with pytest.raises(FluctuationOverflow, match=days):
+            daily_fluctuations(series_from_closes([1e-300, 1e300]))
 
     def test_aggregate_invariants(self):
         with pytest.raises(ValueError):
-            MonthlyAggregate(0, 1.0, -0.1, 21)
+            MonthlyTable([0], [0], [1.0], [-0.1], [21])
         with pytest.raises(ValueError):
-            MonthlyAggregate(0, 1.0, 0.1, 0)
+            MonthlyTable([0], [0], [1.0], [0.1], [0])
+        with pytest.raises(ValueError):
+            MonthlyTable([0, 1], [0], [1.0], [0.1], [21])
 
     def test_with_volumes_roundtrip(self):
         s = series_from_closes([1.0, 2.0, 3.0])
@@ -141,27 +144,26 @@ class TestLogSeries:
 class TestMonthlyAggregates:
     def test_single_constant_month(self):
         s = series_from_closes([100.0] * 15)
-        aggs = monthly_aggregates(s)
-        assert len(aggs) == 1
-        agg = aggs[0]
-        assert agg.tau == 0
-        assert abs(agg.mean_log - math.log(100.0)) < 1e-12
-        assert agg.std_log == 0.0
-        assert agg.n_days == 15
+        table = monthly_aggregates(s)
+        assert len(table) == 1
+        assert table.tau[0] == 0
+        assert abs(table.mean_log[0] - math.log(100.0)) < 1e-12
+        assert table.std_log[0] == 0.0
+        assert table.n_days[0] == 15
 
     def test_two_piecewise_constant_months(self):
         closes = [math.e] * 21 + [math.e**2] * 21
-        aggs = monthly_aggregates(series_from_closes(closes))
-        assert [(a.tau, a.n_days) for a in aggs] == [(0, 21), (1, 21)]
-        assert abs(aggs[0].mean_log - 1.0) < 1e-12
-        assert abs(aggs[1].mean_log - 2.0) < 1e-12
-        assert aggs[0].std_log < 1e-15 and aggs[1].std_log < 1e-15
+        table = monthly_aggregates(series_from_closes(closes))
+        assert table.tau.tolist() == [0, 1] and table.n_days.tolist() == [21, 21]
+        assert abs(table.mean_log[0] - 1.0) < 1e-12
+        assert abs(table.mean_log[1] - 2.0) < 1e-12
+        assert table.std_log[0] < 1e-15 and table.std_log[1] < 1e-15
 
     def test_partial_month_dropped(self):
         closes = [100.0] * 26  # 21-day month plus a 5-day stub
-        aggs = monthly_aggregates(series_from_closes(closes))
-        assert len(aggs) == 1
-        assert aggs[0].n_days == 21
+        table = monthly_aggregates(series_from_closes(closes))
+        assert len(table) == 1
+        assert table.n_days[0] == 21
 
     def test_no_qualifying_month(self):
         with pytest.raises(InsufficientData):
@@ -172,21 +174,21 @@ class TestMonthlyAggregates:
             monthly_aggregates(series_from_closes([100.0]))
 
     def test_min_days_parameter(self):
-        aggs = monthly_aggregates(series_from_closes([100.0] * 26), min_days=5)
-        assert [a.n_days for a in aggs] == [21, 5]
+        table = monthly_aggregates(series_from_closes([100.0] * 26), min_days=5)
+        assert table.n_days.tolist() == [21, 5]
 
     def test_against_bruteforce_oracle_on_gbm(self):
         # 24 simulated months; the oracle regroups the raw path by calendar
         # month and recomputes both statistics with the stdlib.
         series = simulate_gbm(GbmParams(a=5e-4, b=0.015, s0=1000.0, n_days=504, seed=42))
-        aggs = monthly_aggregates(series)
+        table = monthly_aggregates(series)
         oracle = monthly_oracle(series)
-        assert len(aggs) == len(oracle) == 24
-        for agg, (key, mean_ref, std_ref, n_ref) in zip(aggs, oracle):
-            assert agg.month == key
-            assert agg.n_days == n_ref
-            assert abs(agg.mean_log - mean_ref) < 1e-12
-            assert abs(agg.std_log - std_ref) < 1e-12
+        assert len(table) == len(oracle) == 24
+        for row, (key, mean_ref, std_ref, n_ref) in enumerate(oracle):
+            assert table.calendar_month(row) == key
+            assert table.n_days[row] == n_ref
+            assert abs(table.mean_log[row] - mean_ref) < 1e-12
+            assert abs(table.std_log[row] - std_ref) < 1e-12
 
     def test_gbm_dispersion_matches_volatility(self):
         # Within a 21-day month the population std of ln S is close to
@@ -194,7 +196,7 @@ class TestMonthlyAggregates:
         # errors estimated from the sample itself.
         b, n_days = 0.015, 21
         series = simulate_gbm(GbmParams(a=5e-4, b=b, s0=1000.0, n_days=504, seed=42))
-        stds = np.array([a.std_log for a in monthly_aggregates(series)])
+        stds = monthly_aggregates(series).std_log
         expected = b * math.sqrt((n_days**2 - 1) / (6 * n_days))
         se = stds.std(ddof=1) / math.sqrt(len(stds))
         assert abs(stds.mean() - expected) < 3 * se
@@ -206,19 +208,21 @@ class TestMonthlyAggregates:
         dates += [date(2019, 2, d) for d in range(1, 10)]
         dates += [date(2019, 3, d) for d in range(1, 22)]
         recs = tuple(DailyRecord(d, 100.0) for d in dates)
-        aggs = monthly_aggregates(DailySeries(recs))
-        assert [a.tau for a in aggs] == [0, 1]
-        assert [a.month for a in aggs] == [(2019, 1), (2019, 3)]
+        table = monthly_aggregates(DailySeries(recs))
+        assert table.tau.tolist() == [0, 1]
+        assert [table.calendar_month(row) for row in range(2)] == [(2019, 1), (2019, 3)]
 
     @given(st.floats(min_value=1e-3, max_value=1e3).filter(lambda c: c > 0))
     @settings(max_examples=40)
     def test_scale_invariance(self, c):
         base = simulate_gbm(GbmParams(a=5e-4, b=0.01, s0=500.0, n_days=126, seed=7))
         scaled = series_from_closes(base.closes() * c)
-        for a1, a2 in zip(monthly_aggregates(base), monthly_aggregates(scaled)):
-            assert abs((a2.mean_log - a1.mean_log) - math.log(c)) < 1e-12
-            assert abs(a2.std_log - a1.std_log) < 1e-12
-            assert a1.n_days == a2.n_days
+        t1, t2 = monthly_aggregates(base), monthly_aggregates(scaled)
+        assert len(t1) == len(t2)
+        for row in range(len(t1)):
+            assert abs((t2.mean_log[row] - t1.mean_log[row]) - math.log(c)) < 1e-12
+            assert abs(t2.std_log[row] - t1.std_log[row]) < 1e-12
+            assert t1.n_days[row] == t2.n_days[row]
 
     def test_calendar_keys_over_four_centuries(self):
         # Dates far before and after 1970 must land in the calendar month
@@ -231,18 +235,19 @@ class TestMonthlyAggregates:
         text = "Date,Close\n" + "".join(f"{d.isoformat()},{c!r}\n" for d, c in zip(days, closes))
         records = [DailyRecord(d, c) for d, c in zip(days, closes)]
         for series in (parse_daily_file(text), DailySeries(records)):
-            aggs = monthly_aggregates(series, min_days=1)
+            table = monthly_aggregates(series, min_days=1)
             oracle = monthly_oracle(series, min_days=1)
-            assert [(a.month, a.n_days) for a in aggs] == [(k, n) for k, _, _, n in oracle]
-            assert aggs[0].month == (1650, 1) and aggs[-1].month[0] >= 2050
+            months = [table.calendar_month(row) for row in range(len(table))]
+            assert list(zip(months, table.n_days.tolist())) == [(k, n) for k, _, _, n in oracle]
+            assert months[0] == (1650, 1) and months[-1][0] >= 2050
 
     def test_partition_recovers_every_retained_day(self):
         series = simulate_gbm(GbmParams(a=5e-4, b=0.01, s0=500.0, n_days=130, seed=3))
-        aggs = monthly_aggregates(series)
-        retained_months = {a.month for a in aggs}
+        table = monthly_aggregates(series)
+        retained_months = {table.calendar_month(row) for row in range(len(table))}
         n_retained = sum(
             1
             for rec in series.records
             if (rec.date.year, rec.date.month) in retained_months
         )
-        assert sum(a.n_days for a in aggs) == n_retained
+        assert table.n_days.sum() == n_retained

@@ -35,7 +35,7 @@ def plot_bytes(series, tmp_path, monkeypatch) -> tuple[dict, dict]:
     for kind in ("block", "reference"):
         if kind == "reference":
             monkeypatch.setattr(report, "_write_tsv", reference_write_tsv)
-        paths = write_plot_files(series, rep, tmp_path / kind)
+        paths = write_plot_files(rep, tmp_path / kind)
         written[kind] = {p.name: p.read_bytes() for p in paths}
     return written["block"], written["reference"]
 
