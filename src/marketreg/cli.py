@@ -9,6 +9,8 @@ change past float64, and two inputs whose plot files would share a name),
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,48 +76,137 @@ class RunConfig:
         )
 
 
+def _process_count(n_inputs: int) -> int:
+    """Processes for ``n_inputs`` inputs: one per usable CPU, at most one per input."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(n_inputs, cpus)
+
+
+def _in_processes(work, items: list, n: int) -> list:
+    """``[work(item) for item in items]``, with ``items[k::n]`` run in a forked
+    child for each k >= 1 and ``items[0::n]`` in this process.
+
+    An exception raised in a child's share is raised here, after every child
+    has been reaped; a child that ends without a result raises
+    ChildProcessError naming its exit status.
+    """
+    if n == 1:
+        return [work(item) for item in items]
+    pipes = {}  # child pid -> read end of the pipe its result comes through
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # The child ends here on every path: it never returns into the
+                # caller's stack or flushes the stdio buffers it inherited.
+                code = 1
+                try:
+                    os.close(r)
+                    for fh in pipes.values():
+                        fh.close()
+                    try:
+                        result = [work(item) for item in items[k::n]]
+                    except Exception as exc:
+                        result = exc
+                    with open(w, "wb") as out:  # protocol 5 keeps arrays read-only
+                        pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pipes[pid] = open(r, "rb")
+        shares = [[work(item) for item in items[0::n]]]
+        data = [fh.read() for fh in pipes.values()]
+    finally:
+        # Closing a read end first lets a child still writing fail instead of
+        # blocking, so that every wait below returns.
+        for fh in pipes.values():
+            fh.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pipes]
+    for pid, code in zip(pipes, codes):
+        if code != 0:
+            raise ChildProcessError(f"worker process {pid} ended without a result "
+                                    f"(exit status {code})")
+    for blob in data:
+        shares.append(pickle.loads(blob))
+        if isinstance(shares[-1], Exception):
+            raise shares[-1]
+    return [shares[i % n][i // n] for i in range(len(items))]
+
+
+def _analyze_input(path: Path, config: RunConfig) -> tuple:
+    """(index name, length, report) of one input. On an error the report's
+    place holds the exception, and a parse error also leaves the name and
+    length None, so that the caller can raise errors in input order."""
+    try:
+        series = parse_daily_path(path, config.ingest_config())
+    except Exception as exc:
+        return None, None, exc
+    try:
+        report = analyze_index(
+            series,
+            bin_width=config.bin_width,
+            variance_fit_mode=config.variance_fit_mode,
+        )
+    except Exception as exc:
+        report = exc
+    return series.index_name, len(series), report
+
+
 def run_analyze(config: RunConfig) -> int:
     """Parse and analyze every input, then write report.json (atomically) and,
-    on request, the six plot-ready TSV files per index."""
-    ingest_cfg = config.ingest_config()
-    series_list = []
-    for path in config.input_paths:
-        try:
-            series_list.append(parse_daily_path(path, ingest_cfg))
-        except FileNotFoundError:
-            raise _CliFailure(EXIT_INPUT, f"{path}: file not found") from None
-        except MarketRegError as exc:
-            raise _CliFailure(exc.exit_code, f"{path}: {exc}") from None
+    on request, the six plot-ready TSV files per index.
 
-    for series in series_list:
-        if len(series) < SHORT_SERIES_WARNING:
+    The inputs are shared round-robin between this process and forked
+    children, one process per usable CPU; errors, warnings and files come out
+    as they would from a single process working through the inputs in order.
+    """
+    n = _process_count(len(config.input_paths))
+    outcomes = _in_processes(lambda path: _analyze_input(path, config), config.input_paths, n)
+
+    for path, (name, _, error) in zip(config.input_paths, outcomes):
+        if name is None:
+            if isinstance(error, FileNotFoundError):
+                raise _CliFailure(EXIT_INPUT, f"{path}: file not found") from None
+            if isinstance(error, MarketRegError):
+                raise _CliFailure(error.exit_code, f"{path}: {error}") from None
+            raise error
+
+    for name, length, _ in outcomes:
+        if length < SHORT_SERIES_WARNING:
             print(
-                f"warning: {series.index_name}: only {len(series)} trading days; "
+                f"warning: {name}: only {length} trading days; "
                 f"estimates are noisy below {SHORT_SERIES_WARNING}",
                 file=sys.stderr,
             )
 
     if config.emit_plots:
-        check_plot_stems(config.input_paths, [series.index_name for series in series_list])
+        check_plot_stems(config.input_paths, [name for name, _, _ in outcomes])
 
-    reports = []
-    for series in series_list:
-        try:
-            reports.append(
-                analyze_index(
-                    series,
-                    bin_width=config.bin_width,
-                    variance_fit_mode=config.variance_fit_mode,
-                )
-            )
-        except MarketRegError as exc:
-            raise _CliFailure(exc.exit_code, f"{series.index_name}: {exc}") from None
+    for name, _, report in outcomes:
+        if isinstance(report, MarketRegError):
+            raise _CliFailure(report.exit_code, f"{name}: {report}") from None
+        if isinstance(report, Exception):
+            raise report
+    reports = [report for _, _, report in outcomes]
 
     payload = report_payload(reports)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     if config.emit_plots:
-        for rep in reports:
-            write_plot_files(rep, config.output_dir / "plots")
+        plots_dir = config.output_dir / "plots"
+        plots_dir.mkdir(exist_ok=True)
+        _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n)
     report_path = config.output_dir / "report.json"
     write_report_atomic(payload, report_path)
 

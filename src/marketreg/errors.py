@@ -1,12 +1,21 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class MarketRegError(Exception):
     """Base class for every error this package raises on purpose.
 
-    ``exit_code`` is the command line's exit status on it: 2 for bad input."""
+    ``exit_code`` is the command line's exit status on it: 2 for bad input.
+    Every subclass survives ``pickle`` with its type, message and attributes.
+    """
 
     exit_code = 2
+
+    def __reduce__(self):
+        # Subclasses take other arguments than their message, so the copy is
+        # built without __init__, from the message args and the attributes.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EstimationError(MarketRegError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +118,16 @@ def render_report_json(payload: dict) -> str:
 
 
 def write_report_atomic(payload: dict, out_path: Path) -> None:
-    """Write report.json so that no partial file survives an error."""
+    """Write report.json so that no partial file survives an error.
+
+    The file is created with the umask's mode, as the plot files are."""
     out_path = Path(out_path)
     text = render_report_json(payload)
-    fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, prefix=".report-", suffix=".json")
+    # A fresh random name; mode "x" refuses to open a file that already exists.
+    tmp_name = out_path.with_name(f".report-{os.urandom(8).hex()}.json")
+    fh = open(tmp_name, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp_name, out_path)
     except BaseException:

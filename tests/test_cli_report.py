@@ -1,8 +1,11 @@
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import warnings
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -279,6 +282,151 @@ class TestAnalyzeCommand:
         assert row["diagnostics"]["variance_decline"]["intercept"] == 0.0
 
 
+def force_cpus(monkeypatch, n: int) -> None:
+    """Make ``analyze`` see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def per_process(in_parent, in_children):
+    """A function that calls ``in_parent`` in this process and ``in_children``
+    in the children forked from it."""
+    parent_pid = os.getpid()
+    return lambda *args, **kwargs: (
+        in_parent if os.getpid() == parent_pid else in_children)(*args, **kwargs)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+class TestWorkerProcesses:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, capsys):
+        # The second input is short enough to be warned about.
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=900 if k == 1 else 1200,
+                               with_volume=k % 2 == 0) for k in range(4)]
+        forks = []
+        real_fork = getattr(os, "fork", None)
+        if real_fork:
+            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        runs = {}
+        for workers in (1, 2, 3):
+            force_cpus(monkeypatch, workers)
+            forks.clear()
+            capsys.readouterr()
+            out_dir = tmp_path / f"out{workers}"
+            assert main(["analyze", "--input", *map(str, paths), "--out", str(out_dir),
+                         "--plots"]) == 0
+            if real_fork:
+                assert len(forks) == 2 * (workers - 1)  # children of both phases
+            files = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.tsv")}
+            files["report.json"] = (out_dir / "report.json").read_bytes()
+            captured = capsys.readouterr()
+            runs[workers] = (files, captured.out.replace(str(out_dir), "OUT"), captured.err)
+        assert len(runs[1][0]) == 4 * 6 - 2 + 1  # two inputs without volume
+        assert runs[1][2] == "warning: in1: only 900 trading days; estimates are noisy below 1000\n"
+        assert runs[1] == runs[2] == runs[3]
+
+    def test_one_process_per_usable_cpu_and_input(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        assert [cli._process_count(n) for n in (1, 2, 3, 6)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli._process_count(6) == 2
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert cli._process_count(6) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_later_parse_error_beats_an_earlier_analysis_error(self, tmp_path, monkeypatch,
+                                                                 capsys, workers):
+        short = simulate_file(tmp_path, name="short.csv", days=30, with_volume=False)
+        good = simulate_file(tmp_path, name="good.csv", days=1200)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("Date,Close\n2019-01-01,abc\n")
+        force_cpus(monkeypatch, workers)
+        out_dir = tmp_path / "out"
+        rc = main(["analyze", "--input", *map(str, [short, good, good, bad]), "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 2: unparseable price 'abc'\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_plot_name_collision_beats_an_analysis_error(self, tmp_path, monkeypatch, capsys,
+                                                           workers):
+        first = simulate_file(tmp_path, name="x/sp.csv", seed=1, days=1200)
+        short = simulate_file(tmp_path, name="short.csv", days=30, with_volume=False)
+        second = simulate_file(tmp_path, name="y/sp.csv", seed=2, days=1200)
+        force_cpus(monkeypatch, workers)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, [first, short, second]), "--out", str(out_dir),
+                   "--plots"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: short: only 30 trading days")
+        assert err[1:] == [f"error: {first} and {second} would both write plot files named sp_*.tsv"]
+        assert not out_dir.exists()
+
+    @needs_fork
+    def test_an_error_in_a_childs_plot_share_reaches_the_parent(self, tmp_path, monkeypatch):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
+
+        def refuse(rep, out_dir):
+            raise PermissionError(13, "refused in the child", str(out_dir))
+
+        monkeypatch.setattr(cli, "write_plot_files",
+                            per_process(cli.write_plot_files, refuse))
+        force_cpus(monkeypatch, 2)
+        out_dir = tmp_path / "out"
+        with pytest.raises(PermissionError, match="refused in the child"):
+            main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        assert not (out_dir / "report.json").exists()
+
+    @needs_fork
+    @pytest.mark.parametrize("end, status", [
+        (lambda *args, **kwargs: os._exit(1), 1),
+        (lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+        (lambda *args, **kwargs: lambda: "a result pickle cannot carry", 1),
+    ], ids=["exit-1", "killed", "unpicklable"])
+    def test_a_child_without_a_result_raises(self, tmp_path, monkeypatch, end, status):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(3)]
+        monkeypatch.setattr(cli, "analyze_index", per_process(cli.analyze_index, end))
+        force_cpus(monkeypatch, 3)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ChildProcessError, match=rf"ended without a result \(exit status {status}\)"):
+            main(["analyze", "--input", *map(str, paths), "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    @needs_fork
+    def test_children_are_reaped_when_the_parents_share_raises(self, tmp_path, monkeypatch):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "analyze_index", per_process(interrupt, cli.analyze_index))
+        force_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            main(["analyze", "--input", *map(str, paths), "--out", str(tmp_path / "out")])
+
+    def test_report_json_takes_the_mode_of_a_plot_file(self, tmp_path):
+        path = simulate_file(tmp_path, days=1200)
+        out_dir = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(["analyze", "--input", str(path), "--out", str(out_dir), "--plots"]) == 0
+        finally:
+            os.umask(old)
+        plot_mode = (out_dir / "plots" / "sim_daily_log_price.tsv").stat().st_mode
+        assert (out_dir / "report.json").stat().st_mode == plot_mode
+        assert plot_mode & 0o777 == 0o644
+        assert sorted(p.name for p in out_dir.iterdir()) == ["plots", "report.json"]
+
+
 class TestSimulateCommand:
     def test_volume_overflow_exits_2_without_file(self, tmp_path, capsys):
         out = tmp_path / "big.csv"
@@ -358,12 +506,33 @@ def _all_subclasses(cls):
         yield from _all_subclasses(sub)
 
 
-@pytest.mark.parametrize("error", sorted(_all_subclasses(MarketRegError), key=lambda c: c.__name__))
+ALL_ERRORS = sorted(_all_subclasses(MarketRegError), key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("error", ALL_ERRORS)
 def test_every_error_maps_to_a_documented_exit_code(error):
     estimation = {"EstimationError", "NonPositivePrice", "InsufficientData", "DegenerateX",
                   "DegenerateInput", "DegenerateFit", "NoVolumeData", "PathRejectionLimit"}
     assert error.exit_code == (3 if error.__name__ in estimation else 2)
     assert f"{error.exit_code} " in cli.__doc__
+
+
+# Arguments of the errors whose constructor takes more than a message.
+ERROR_ARGS = {
+    "DuplicateDate": (date(2019, 1, 2),),
+    "MalformedRow": (3, "bad"),
+    "PlotNameCollision": ("x/sp.csv", "y/sp.csv", "sp"),
+    "UnknownColumn": ("X",),
+}
+
+
+@pytest.mark.parametrize("error", [MarketRegError, *ALL_ERRORS])
+def test_every_error_survives_pickle(error):
+    original = error(*ERROR_ARGS.get(error.__name__, ("a message",)))
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is error
+    assert str(copy) == str(original) and copy.args == original.args
+    assert vars(copy) == vars(original)
 
 
 LONG_REPORTS = """
@@ -412,6 +581,15 @@ def child_env() -> dict:
     """This environment with the package's source directory first on PYTHONPATH."""
     src = str(Path(marketreg.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_importing_the_cli_does_not_load_process_pools():
+    # analyze forks its workers itself; these modules would add to every start.
+    code = ("import sys, marketreg.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=child_env())
+    assert out.stdout.strip() == "[]"
 
 
 def test_importing_the_cli_does_not_load_selftest():
