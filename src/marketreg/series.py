@@ -93,8 +93,10 @@ class DailySeries:
         """Series from its columns. ``volumes`` holds None where no volume was
         reported or, when ``volume_mask`` is given, is the int64 count column
         with 0 wherever the mask is false."""
-        if volume_mask is None:
-            volumes, volume_mask = _volume_column([None] * len(dates) if volumes is None else volumes)
+        if volumes is None and volume_mask is None:
+            volumes, volume_mask = np.zeros(len(dates), dtype=np.int64), np.zeros(len(dates), dtype=bool)
+        elif volume_mask is None:
+            volumes, volume_mask = _volume_column(volumes)
         series = cls.__new__(cls)
         series._set(dates, close, volumes, volume_mask, index_name)
         return series

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date as Date
 
 import numpy as np
 
@@ -46,6 +45,9 @@ class GbmParams:
     dt: float = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "s0", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.s0 <= 0:
             raise ValueError("s0 must be > 0")
         if self.b < 0:
@@ -118,11 +120,6 @@ def synthetic_days(n: int) -> np.ndarray:
     return months.astype("datetime64[D]") + day
 
 
-def synthetic_dates(n: int) -> list[Date]:
-    """``synthetic_days`` as a list of dates."""
-    return synthetic_days(n).tolist()
-
-
 def simulate_gbm(
     params: GbmParams,
     schedule: VolatilitySchedule | None = None,
@@ -141,30 +138,39 @@ def simulate_gbm(
     n_steps = params.n_days - 1
     rng = np.random.default_rng(params.seed)
     sqrt_dt = math.sqrt(params.dt)
-    b_levels = schedule.levels(n_steps).tolist() if n_steps > 0 else []
-    dws = (_standard_normals(rng, n_steps) * sqrt_dt).tolist() if n_steps > 0 else []
-
-    # Python floats round exactly as float64 does, and overflow to inf without a warning.
-    prices = np.empty(params.n_days)
-    prices[0] = price = float(params.s0)
+    b_levels = schedule.levels(n_steps)
+    dws = _standard_normals(rng, n_steps) * sqrt_dt
     drift = params.a * params.dt
-    for k, (b, dw) in enumerate(zip(b_levels, dws)):
-        nxt = price * (1.0 + drift + b * dw)
-        redraws = 0
-        while nxt <= 0:
-            redraws += 1
-            if redraws > REDRAW_LIMIT:
-                raise PathRejectionLimit(
-                    f"{REDRAW_LIMIT} consecutive redraws at step {k}; parameters are absurd"
-                )
-            dw = float(_standard_normals(rng, 1)[0]) * sqrt_dt
-            nxt = price * (1.0 + drift + b * dw)
-        if not math.isfinite(nxt):
-            raise NonFinitePrice(
-                f"simulated price at day {k + 1} is {nxt}, past the float64 range"
-            )
-        prices[k + 1] = price = nxt
 
+    # The path is one cumulative product. Accumulate multiplies in step order,
+    # so each price is the product the step loop below forms, up to the first
+    # price that is not positive and finite: the loop takes over from there.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        prices = np.cumprod(np.concatenate(([float(params.s0)], 1.0 + drift + b_levels * dws)))
+        stops = np.flatnonzero(~((prices[1:] > 0) & (prices[1:] < math.inf)))
+    if stops.size:
+        # One step at a time, so that redraws take from the stream in step
+        # order. Python floats round exactly as float64 does, and overflow to
+        # inf without a warning.
+        first = int(stops[0])
+        price = float(prices[first])
+        steps = zip(b_levels[first:].tolist(), dws[first:].tolist())
+        for k, (b, dw) in enumerate(steps, start=first):
+            nxt = price * (1.0 + drift + b * dw)
+            redraws = 0
+            while nxt <= 0:
+                redraws += 1
+                if redraws > REDRAW_LIMIT:
+                    raise PathRejectionLimit(
+                        f"{REDRAW_LIMIT} consecutive redraws at step {k}; parameters are absurd"
+                    )
+                dw = float(_standard_normals(rng, 1)[0]) * sqrt_dt
+                nxt = price * (1.0 + drift + b * dw)
+            if not math.isfinite(nxt):
+                raise NonFinitePrice(
+                    f"simulated price at day {k + 1} is {nxt}, past the float64 range"
+                )
+            prices[k + 1] = price = nxt
     return DailySeries.from_columns(synthetic_days(params.n_days), prices, index_name=index_name)
 
 
@@ -185,7 +191,9 @@ def simulate_volume(
         raise ValueError("n_days must be >= 1")
     rng = np.random.default_rng(seed)
     eta = _standard_normals(rng, n_days) * noise_sd if noise_sd > 0 else np.zeros(n_days)
-    counts = n0 * np.exp(nu * np.arange(n_days) + eta)
+    # A count past float64 is caught below as past int64, so its warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = n0 * np.exp(nu * np.arange(n_days) + eta)
     too_big = np.flatnonzero(~(counts < 2.0**63))
     if too_big.size:
         k = int(too_big[0])

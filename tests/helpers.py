@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the line
 fit solves the normal equations in exact rational arithmetic, the monthly
-statistics use the stdlib statistics module over a plain groupby, and the
-reference writers format one row at a time with ``str``.
+statistics use the stdlib statistics module over a plain groupby, the
+reference writers format one row at a time with ``str``, and the reference
+simulator advances a price path one step at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ from datetime import date as Date
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+from marketreg.errors import NonFinitePrice, PathRejectionLimit
 from marketreg.series import DailyRecord, DailySeries
+from marketreg.simulate import REDRAW_LIMIT, GbmParams, VolatilitySchedule, _standard_normals
 
 
 def month_dates(n_days: int, days_per_month: int = 21, start_year: int = 2019) -> list[Date]:
@@ -120,3 +125,36 @@ def reference_write_daily_file(series: DailySeries, dest) -> None:
         dest.write(payload)
         return
     Path(dest).write_text(payload, encoding="utf-8")
+
+
+def reference_simulate_gbm(params: GbmParams, schedule: VolatilitySchedule | None = None) -> np.ndarray:
+    """The closes of ``simulate.simulate_gbm``, one Python-level step at a time,
+    with the same random stream, redraws and errors."""
+    schedule = schedule or VolatilitySchedule.constant(params.b)
+    n_steps = params.n_days - 1
+    rng = np.random.default_rng(params.seed)
+    sqrt_dt = math.sqrt(params.dt)
+    b_levels = schedule.levels(n_steps).tolist() if n_steps > 0 else []
+    dws = (_standard_normals(rng, n_steps) * sqrt_dt).tolist() if n_steps > 0 else []
+
+    # Python floats round exactly as float64 does, and overflow to inf without a warning.
+    prices = np.empty(params.n_days)
+    prices[0] = price = float(params.s0)
+    drift = params.a * params.dt
+    for k, (b, dw) in enumerate(zip(b_levels, dws)):
+        nxt = price * (1.0 + drift + b * dw)
+        redraws = 0
+        while nxt <= 0:
+            redraws += 1
+            if redraws > REDRAW_LIMIT:
+                raise PathRejectionLimit(
+                    f"{REDRAW_LIMIT} consecutive redraws at step {k}; parameters are absurd"
+                )
+            dw = float(_standard_normals(rng, 1)[0]) * sqrt_dt
+            nxt = price * (1.0 + drift + b * dw)
+        if not math.isfinite(nxt):
+            raise NonFinitePrice(
+                f"simulated price at day {k + 1} is {nxt}, past the float64 range"
+            )
+        prices[k + 1] = price = nxt
+    return prices

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pickle
@@ -443,6 +444,47 @@ class TestSimulateCommand:
         assert rc == 2
         assert not out.exists()
         assert "day 70640 is inf" in capsys.readouterr().err
+
+    def test_volume_past_float64_prints_only_the_error(self, tmp_path):
+        # exp(nu*k) passes float64 on day 710; numpy's overflow warning stays off stderr.
+        out = tmp_path / "huge.csv"
+        argv = ["simulate", "--a", "0.0005", "--b", "0.015", "--s0", "1000", "--days", "1000",
+                "--seed", "1", "--volume-nu", "1.0", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "marketreg", *argv], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 2
+        assert not out.exists()
+        assert proc.stderr.splitlines() == [
+            "error: n0*exp(nu*k + eta) = 1.069e+19 at day 30 does not fit a 64-bit count"
+        ]
+
+    @pytest.mark.parametrize("flag, value", [("--s0", "nan"), ("--a", "nan"), ("--b", "inf"),
+                                             ("--dt", "nan")])
+    def test_non_finite_parameter_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        params = {"--a": "0.0005", "--b": "0.015", "--s0": "1000", "--dt": "1.0"}
+        params[flag] = value
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", *[x for pair in params.items() for x in pair],
+                   "--days", "100", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be finite\n"
+
+    # sha256 of the files written by the one-step-at-a-time simulator: any change
+    # to the random stream, the step arithmetic or the redraws moves them.
+    @pytest.mark.parametrize("args, sha256", [
+        ("--a 0.0003 --b 0.012 --s0 1000 --days 5500 --seed 11 --volume-nu 0.0004 "
+         "--volume-noise 0.1",
+         "aa095d0dcfe5a87d2c64d050405446922e436013017115baeb4d7dd245e244ac"),
+        ("--a 0.0003 --b 0.02 --s0 1000 --days 5040 --seed 20190422 --dt 0.5 --decay-to 0.005",
+         "30aeb33c261aa2bc46cda76e8348c05a11593b45d314bd321e193efaa24398f0"),
+        ("--a 0 --b 0.9 --s0 1 --days 2000 --seed 5",
+         "ef65f709aacf362d43736afb5e6c87f2a4848d3f0d5a41e24a24aafe27888df6"),
+    ], ids=["constant-with-volume", "decay-half-day-steps", "heavy-noise-redraws"])
+    def test_output_bytes_are_pinned(self, tmp_path, args, sha256):
+        out = tmp_path / "golden.csv"
+        assert main(["simulate", *args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         p1 = simulate_file(tmp_path, name="a.csv", seed=99)

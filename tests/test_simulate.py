@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketreg.errors import NonFinitePrice, PathRejectionLimit, VolumeOverflow
+from helpers import reference_simulate_gbm
+from marketreg.errors import MarketRegError, NonFinitePrice, PathRejectionLimit, VolumeOverflow
 from marketreg.estimators import (
     analyze_index,
     daily_fluctuations,
@@ -20,7 +21,7 @@ from marketreg.simulate import (
     VolatilitySchedule,
     simulate_gbm,
     simulate_volume,
-    synthetic_dates,
+    synthetic_days,
     wiener_increments,
 )
 
@@ -79,6 +80,13 @@ class TestGbmParams:
         with pytest.raises(ValueError):
             GbmParams(a=0.0, b=0.01, s0=1.0, n_days=10, seed=1, dt=0.0)
 
+    @pytest.mark.parametrize("field", ["a", "b", "s0", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_named(self, field, value):
+        kwargs = dict(a=0.0, b=0.01, s0=1.0, n_days=10, seed=1, dt=1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            GbmParams(**{**kwargs, field: value})
+
 
 class TestVolatilitySchedule:
     def test_constant_levels(self):
@@ -103,7 +111,7 @@ class TestVolatilitySchedule:
 
 class TestSyntheticCalendar:
     def test_21_days_per_month_from_epoch(self):
-        dates = synthetic_dates(43)
+        dates = synthetic_days(43).tolist()
         assert dates[0] == date(2000, 1, 1)
         assert dates[20] == date(2000, 1, 21)
         assert dates[21] == date(2000, 2, 1)
@@ -111,7 +119,7 @@ class TestSyntheticCalendar:
         assert all(d1 < d2 for d1, d2 in zip(dates, dates[1:]))
 
     def test_year_rollover(self):
-        dates = synthetic_dates(21 * 12 + 1)
+        dates = synthetic_days(21 * 12 + 1).tolist()
         assert dates[-1] == date(2001, 1, 1)
 
 
@@ -165,7 +173,75 @@ class TestSimulateGbm:
 
     def test_dates_follow_synthetic_calendar(self):
         series = simulate_gbm(GbmParams(a=0.0, b=0.01, s0=1.0, n_days=50, seed=3))
-        assert [r.date for r in series.records] == synthetic_dates(50)
+        assert [r.date for r in series.records] == synthetic_days(50).tolist()
+
+
+def _gbm_closes(params, schedule):
+    return simulate_gbm(params, schedule).close
+
+
+def _closes_or_error(simulate, params, schedule):
+    """The close bytes, or the type and message of the error raised instead."""
+    try:
+        return simulate(params, schedule).tobytes()
+    except MarketRegError as error:
+        return type(error), str(error)
+
+
+# (a, b, s0, n_days, seed, dt, decay_to, what the path ends in)
+STEP_LOOP_GRID = [
+    *[
+        (3e-4, 0.012, 1000.0, n_days, 11, dt, decay_to, "closes")
+        for n_days in (1, 2, 5500)
+        for dt in (1.0, 0.5)
+        for decay_to in (None, 0.004)
+    ],
+    pytest.param(0.0, 0.9, 1.0, 2000, 5, 1.0, None, "closes", id="redraws-from-step-4"),
+    pytest.param(3e-4, 0.3, 1000.0, 5500, 14, 1.0, None, "closes", id="first-redraw-at-step-4901"),
+    pytest.param(-0.5, 0.0, 5e-324, 10, 1, 1.0, None, "redraws at step 0",
+                 id="underflow-to-zero-at-step-0"),
+    pytest.param(0.01, 0.001, 1000.0, 80_000, 1, 1.0, None, "day 70640 is inf",
+                 id="overflow-at-day-70640"),
+    pytest.param(-1.5, 0.0, 1.0, 3, 1, 1.0, None, "redraws at step 0", id="rejection-limit"),
+]
+
+
+class TestStepLoopReference:
+    """simulate_gbm's cumulative product against the one-step-at-a-time loop:
+    the same close bytes, or the same error type and message."""
+
+    @pytest.mark.parametrize("a, b, s0, n_days, seed, dt, decay_to, ends_in", STEP_LOOP_GRID)
+    def test_pinned_grid_matches_the_step_loop(self, a, b, s0, n_days, seed, dt, decay_to, ends_in):
+        params = GbmParams(a=a, b=b, s0=s0, n_days=n_days, seed=seed, dt=dt)
+        schedule = None if decay_to is None else VolatilitySchedule.linear_decay(b, decay_to)
+        expected = _closes_or_error(reference_simulate_gbm, params, schedule)
+        got = _closes_or_error(_gbm_closes, params, schedule)
+        assert got == expected
+        assert isinstance(got, bytes) if ends_in == "closes" else ends_in in got[1]
+
+    @pytest.mark.parametrize("a, b, n_days, seed, first", [
+        (0.0, 0.9, 2000, 5, 4),
+        (3e-4, 0.3, 5500, 14, 4901),
+    ])
+    def test_grid_redraws_start_where_its_ids_say(self, a, b, n_days, seed, first):
+        factors = 1.0 + a + b * wiener_increments(n_days - 1, 1.0, seed)
+        assert np.flatnonzero(factors <= 0)[0] == first
+
+    @given(
+        a=st.floats(-0.6, 0.6),
+        b=st.floats(0.0, 1.5),
+        s0=st.floats(1e-300, 1e300),
+        n_days=st.integers(1, 400),
+        seed=st.integers(0, 2**32),
+        dt=st.sampled_from([1.0, 0.5]),
+        decay=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_parameters_match_the_step_loop(self, a, b, s0, n_days, seed, dt, decay):
+        params = GbmParams(a=a, b=b, s0=s0, n_days=n_days, seed=seed, dt=dt)
+        schedule = VolatilitySchedule.linear_decay(b, b / 4) if decay else None
+        expected = _closes_or_error(reference_simulate_gbm, params, schedule)
+        assert _closes_or_error(_gbm_closes, params, schedule) == expected
 
 
 class TestSimulateVolume:
@@ -204,6 +280,14 @@ class TestSimulateVolume:
         with pytest.raises(VolumeOverflow):
             simulate_volume(float("nan"), 1e6, 0.0, 10, seed=1)
         assert simulate_volume(4e-4, 1e6, 0.0, 74_000, seed=1).min() == 1_000_000
+
+    def test_count_past_float64_raises_without_a_warning(self):
+        # exp(nu*k) passes float64 at k = 710; under error::RuntimeWarning a
+        # numpy overflow warning would surface before VolumeOverflow.
+        with pytest.raises(VolumeOverflow, match="at day 30 "):
+            simulate_volume(1.0, 1e6, 0.0, 1000, seed=1)
+        with pytest.raises(VolumeOverflow, match="at day 0 "):
+            simulate_volume(float("inf"), 1e6, 0.0, 10, seed=1)
 
     def test_noisy_recovery_within_three_stderr(self):
         vols = simulate_volume(4e-4, 1e6, 0.2, 5000, seed=WIENER_SEED + 6)
