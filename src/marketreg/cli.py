@@ -12,7 +12,6 @@ import argparse
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MarketRegError
@@ -33,47 +32,6 @@ EXIT_SELFTEST = 4
 
 # Parameters drift with window length; two decades is the intended regime.
 SHORT_SERIES_WARNING = 1000
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, regardless of subcommand."""
-
-    command: str
-    input_paths: list[Path] = field(default_factory=list)
-    date_column: str = "Date"
-    price_column: str = "Close"
-    volume_column: str | None = None
-    date_format: str = "%Y-%m-%d"
-    delimiter: str = ","
-    decimal_comma: bool = False
-    bin_width: float = DEFAULT_BIN_WIDTH
-    variance_fit_mode: str = "intercept"
-    output_dir: Path = Path(".")
-    emit_plots: bool = False
-    gbm: GbmParams | None = None
-    decay_to: float | None = None
-    out_file: Path | None = None
-    volume_nu: float | None = None
-    volume_n0: float = 1e6
-    volume_noise: float = 0.0
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.command == "analyze" and not self.input_paths:
-            raise ValueError("analyze requires at least one input path")
-        if self.command == "simulate" and (self.gbm is None or self.out_file is None):
-            raise ValueError("simulate requires path parameters and an output file")
-
-    def ingest_config(self) -> IngestConfig:
-        return IngestConfig(
-            date_column=self.date_column,
-            price_column=self.price_column,
-            volume_column=self.volume_column,
-            date_format=self.date_format,
-            delimiter=self.delimiter,
-            decimal_comma=self.decimal_comma,
-        )
 
 
 def _process_count(n_inputs: int) -> int:
@@ -145,26 +103,24 @@ def _in_processes(work, items: list, n: int) -> list:
     return [shares[i % n][i // n] for i in range(len(items))]
 
 
-def _analyze_input(path: Path, config: RunConfig) -> tuple:
+def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Namespace) -> tuple:
     """(index name, length, report) of one input. On an error the report's
     place holds the exception, and a parse error also leaves the name and
     length None, so that the caller can raise errors in input order."""
     try:
-        series = parse_daily_path(path, config.ingest_config())
+        series = parse_daily_path(path, ingest_config)
     except Exception as exc:
         return None, None, exc
     try:
         report = analyze_index(
-            series,
-            bin_width=config.bin_width,
-            variance_fit_mode=config.variance_fit_mode,
+            series, bin_width=args.bin_width, variance_fit_mode=args.variance_fit
         )
     except Exception as exc:
         report = exc
     return series.index_name, len(series), report
 
 
-def run_analyze(config: RunConfig) -> int:
+def run_analyze(args: argparse.Namespace) -> int:
     """Parse and analyze every input, then write report.json (atomically) and,
     on request, the six plot-ready TSV files per index.
 
@@ -172,10 +128,18 @@ def run_analyze(config: RunConfig) -> int:
     children, one process per usable CPU; errors, warnings and files come out
     as they would from a single process working through the inputs in order.
     """
-    n = _process_count(len(config.input_paths))
-    outcomes = _in_processes(lambda path: _analyze_input(path, config), config.input_paths, n)
+    ingest_config = IngestConfig(
+        date_column=args.date_column,
+        price_column=args.price_column,
+        volume_column=args.volume_column,
+        date_format=args.date_format,
+        delimiter=args.delimiter,
+        decimal_comma=args.decimal_comma,
+    )
+    n = _process_count(len(args.input))
+    outcomes = _in_processes(lambda path: _analyze_input(path, ingest_config, args), args.input, n)
 
-    for path, (name, _, error) in zip(config.input_paths, outcomes):
+    for path, (name, _, error) in zip(args.input, outcomes):
         if name is None:
             if isinstance(error, FileNotFoundError):
                 raise _CliFailure(EXIT_INPUT, f"{path}: file not found") from None
@@ -191,8 +155,8 @@ def run_analyze(config: RunConfig) -> int:
                 file=sys.stderr,
             )
 
-    if config.emit_plots:
-        check_plot_stems(config.input_paths, [name for name, _, _ in outcomes])
+    if args.plots:
+        check_plot_stems(args.input, [name for name, _, _ in outcomes])
 
     for name, _, report in outcomes:
         if isinstance(report, MarketRegError):
@@ -202,12 +166,12 @@ def run_analyze(config: RunConfig) -> int:
     reports = [report for _, _, report in outcomes]
 
     payload = report_payload(reports)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    if config.emit_plots:
-        plots_dir = config.output_dir / "plots"
+    args.out.mkdir(parents=True, exist_ok=True)
+    if args.plots:
+        plots_dir = args.out / "plots"
         plots_dir.mkdir(exist_ok=True)
         _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n)
-    report_path = config.output_dir / "report.json"
+    report_path = args.out / "report.json"
     write_report_atomic(payload, report_path)
 
     header = f"{'index':<20} {'a':>10} {'mu':>8} {'sigma':>8} {'m':>8} {'w':>10} {'nu':>8}"
@@ -225,36 +189,38 @@ def run_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_simulate(config: RunConfig) -> int:
+def run_simulate(args: argparse.Namespace) -> int:
     """Write one simulated path (and optional volume column) in the canonical format."""
-    params = config.gbm
+    params = GbmParams(
+        a=args.a, b=args.b, s0=args.s0, n_days=args.days, seed=args.seed, dt=args.dt
+    )
     schedule = (
-        VolatilitySchedule.linear_decay(params.b, config.decay_to)
-        if config.decay_to is not None
+        VolatilitySchedule.linear_decay(params.b, args.decay_to)
+        if args.decay_to is not None
         else None
     )
-    series = simulate_gbm(params, schedule, index_name=config.out_file.stem)
-    if config.volume_nu is not None:
+    series = simulate_gbm(params, schedule, index_name=args.out.stem)
+    if args.volume_nu is not None:
         # The volume stream is seeded one past the price stream.
         volumes = simulate_volume(
-            config.volume_nu, config.volume_n0, config.volume_noise, params.n_days, params.seed + 1
+            args.volume_nu, args.volume_n0, args.volume_noise, params.n_days, params.seed + 1
         )
         series = series.with_volumes(volumes)
-    config.out_file.parent.mkdir(parents=True, exist_ok=True)
-    write_daily_file(series, config.out_file)
-    decay_note = "" if config.decay_to is None else f" decay_to={config.decay_to!r}"
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_daily_file(series, args.out)
+    decay_note = "" if args.decay_to is None else f" decay_to={args.decay_to!r}"
     print(
         f"simulated a={params.a!r} b={params.b!r} s0={params.s0!r} "
         f"days={params.n_days} seed={params.seed} dt={params.dt!r}{decay_note} "
-        f"-> {config.out_file}"
+        f"-> {args.out}"
     )
     return EXIT_OK
 
 
-def run_selftest_command(config: RunConfig) -> int:
+def run_selftest_command(args: argparse.Namespace) -> int:
     from .selftest import format_results, run_selftest
 
-    results = run_selftest(tolerance_scale=0.1 if config.strict else 1.0)
+    results = run_selftest(tolerance_scale=0.1 if args.strict else 1.0)
     print(format_results(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST
 
@@ -275,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="analyze one or more daily data files")
-    pa.add_argument("--input", nargs="+", action="extend", required=True, metavar="FILE",
+    pa.add_argument("--input", type=Path, nargs="+", action="extend", required=True, metavar="FILE",
                     help="daily data file(s); repeatable")
     pa.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH,
                     help="histogram bin width in percent (default 0.1)")
@@ -314,46 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "analyze":
-        return RunConfig(
-            command="analyze",
-            input_paths=[Path(p) for p in args.input],
-            date_column=args.date_column,
-            price_column=args.price_column,
-            volume_column=args.volume_column,
-            date_format=args.date_format,
-            delimiter=args.delimiter,
-            decimal_comma=args.decimal_comma,
-            bin_width=args.bin_width,
-            variance_fit_mode=args.variance_fit,
-            output_dir=args.out,
-            emit_plots=args.plots,
-        )
-    if args.command == "simulate":
-        gbm = GbmParams(a=args.a, b=args.b, s0=args.s0, n_days=args.days,
-                        seed=args.seed, dt=args.dt)
-        return RunConfig(
-            command="simulate",
-            gbm=gbm,
-            decay_to=args.decay_to,
-            out_file=args.out,
-            volume_nu=args.volume_nu,
-            volume_n0=args.volume_n0,
-            volume_noise=args.volume_noise,
-        )
-    return RunConfig(command="selftest", strict=args.strict)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        if config.command == "analyze":
-            return run_analyze(config)
-        if config.command == "simulate":
-            return run_simulate(config)
-        return run_selftest_command(config)
+        if args.command == "analyze":
+            return run_analyze(args)
+        if args.command == "simulate":
+            return run_simulate(args)
+        return run_selftest_command(args)
     except _CliFailure as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

@@ -225,8 +225,8 @@ def fit_daily_growth(series: DailySeries) -> tuple[float, FitResult]:
     Fits ln(close) against the trading-day index; the slope times 100 is the
     growth rate. Exact exponential input is recovered exactly.
     """
-    t, ln_close = log_series(series).T
-    fit = linear_least_squares(t, ln_close)
+    ln_close = log_series(series)
+    fit = linear_least_squares(np.arange(len(ln_close), dtype=float), ln_close)
     return 100.0 * fit.slope, fit
 
 
@@ -448,7 +448,7 @@ def analyze_index(
         gaussian=gaussian,
         diagnostics=diagnostics,
         errors=errors,
-        ln_close=read_only(log_series(series)[:, 1].copy()),  # copied, so the t column is freed
+        ln_close=log_series(series),
         fluctuations=fluct,
         histogram=histogram,
         monthly=monthly,

@@ -166,7 +166,7 @@ def parse_daily_file(
     if columns is None:
         return _parse_rows(text, config, index_name)
     dates, close, volume, volume_mask = columns
-    return DailySeries.from_columns(dates, close, volume, index_name, volume_mask)
+    return DailySeries(dates, close, volume, index_name, volume_mask)
 
 
 # Characters that make csv.reader read a line differently from a plain split
@@ -318,7 +318,7 @@ def _parse_rows(text: str, config: IngestConfig, index_name: str) -> DailySeries
     if repeated.size:
         raise DuplicateDate(dates[repeated[0]].item())
 
-    return DailySeries.from_columns(
+    return DailySeries(
         dates, np.array(closes)[order], np.array(volumes, dtype=np.int64)[order], index_name,
         np.array(volume_mask)[order],
     )

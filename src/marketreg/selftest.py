@@ -56,7 +56,7 @@ def _check(name: str, observed: str, bound: str, passed: bool) -> CheckResult:
 
 def _exact_exponential_series(alpha: float, n_days: int, s0: float = 1000.0) -> DailySeries:
     closes = [s0 * math.exp(alpha * k) for k in range(n_days)]
-    return DailySeries.from_columns(synthetic_days(n_days), closes, index_name="exact-exponential")
+    return DailySeries(synthetic_days(n_days), closes, index_name="exact-exponential")
 
 
 def run_selftest(

@@ -71,7 +71,10 @@ class DailySeries:
     ``dates`` is ``datetime64[D]``, ``close`` float64, ``volume`` int64 and
     ``volume_mask`` false (with ``volume`` 0) where no volume was reported.
     Row k is trading day t = k; dates must be strictly increasing.
-    ``DailySeries(records, index_name)`` converts DailyRecord values.
+
+    ``volumes`` holds None where no volume was reported or, when
+    ``volume_mask`` is given, is the int64 count column with 0 wherever the
+    mask is false; without either, no day has a volume.
     """
 
     dates: np.ndarray
@@ -80,32 +83,15 @@ class DailySeries:
     volume_mask: np.ndarray
     index_name: str
 
-    def __init__(self, records, index_name: str = "unnamed"):
-        records = tuple(records)
-        dates = day_column([r.date.toordinal() for r in records])
-        volume, mask = _volume_column([r.volume for r in records])
-        self._set(dates, [r.close for r in records], volume, mask, index_name)
-
-    @classmethod
-    def from_columns(
-        cls, dates, close, volumes=None, index_name: str = "unnamed", volume_mask=None
-    ) -> "DailySeries":
-        """Series from its columns. ``volumes`` holds None where no volume was
-        reported or, when ``volume_mask`` is given, is the int64 count column
-        with 0 wherever the mask is false."""
+    def __init__(self, dates, close, volumes=None, index_name: str = "unnamed", volume_mask=None):
         if volumes is None and volume_mask is None:
             volumes, volume_mask = np.zeros(len(dates), dtype=np.int64), np.zeros(len(dates), dtype=bool)
         elif volume_mask is None:
             volumes, volume_mask = _volume_column(volumes)
-        series = cls.__new__(cls)
-        series._set(dates, close, volumes, volume_mask, index_name)
-        return series
-
-    def _set(self, dates, close, volume, mask, index_name: str) -> None:
         dates = np.array(dates, dtype="datetime64[D]")
         columns = {"dates": dates, "close": np.array(close, dtype=float),
-                   "volume": np.array(volume, dtype=np.int64),
-                   "volume_mask": np.array(mask, dtype=bool)}
+                   "volume": np.array(volumes, dtype=np.int64),
+                   "volume_mask": np.array(volume_mask, dtype=bool)}
         if len(dates) == 0:
             raise ValueError("a DailySeries needs at least one record")
         if any(len(column) != len(dates) for column in columns.values()):
@@ -144,9 +130,6 @@ class DailySeries:
         """Calendar date of trading day t = 0."""
         return self.dates[0].item()
 
-    def closes(self) -> np.ndarray:
-        return self.close
-
     def volumes(self) -> list[int | None]:
         return np.where(self.volume_mask, self.volume.astype(object), None).tolist()
 
@@ -156,7 +139,7 @@ class DailySeries:
     def with_volumes(self, volumes) -> "DailySeries":
         """Copy of the series with the volume column replaced; None marks a
         volume that was not reported."""
-        return DailySeries.from_columns(self.dates, self.close, volumes, self.index_name)
+        return DailySeries(self.dates, self.close, volumes, self.index_name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +195,7 @@ def finite_closes(series: DailySeries) -> np.ndarray:
 
 
 def log_series(series: DailySeries) -> np.ndarray:
-    """Natural log of each close against its trading-day index, as an
-    (n, 2) array of (t, ln close) rows.
+    """Natural log of each close, as a read-only column; row k is trading day t = k.
 
     Raises NonFinitePrice if any close is infinite or NaN and
     NonPositivePrice if any close is <= 0.
@@ -222,7 +204,7 @@ def log_series(series: DailySeries) -> np.ndarray:
     bad = np.flatnonzero(close <= 0)
     if bad.size:
         raise NonPositivePrice(_close_at(series, int(bad[0])))
-    return np.column_stack((np.arange(len(series), dtype=float), np.log(close)))
+    return read_only(np.log(close))
 
 
 def log_volumes(series: DailySeries) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +226,7 @@ def monthly_aggregates(series: DailySeries, min_days: int = MIN_DAYS_PER_MONTH) 
     """
     if len(series) < 2:
         raise InsufficientData("need at least 2 records to aggregate monthly")
-    ln_close = log_series(series)[:, 1]
+    ln_close = log_series(series)
     # Months since 1970-01.
     months = series.dates.astype("datetime64[M]").astype(np.int64)
     keys, group, n_days = np.unique(months, return_inverse=True, return_counts=True)

@@ -69,6 +69,9 @@ class VolatilitySchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "linear-decay"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
+        for name in ("b_start", "b_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.b_start < 0:
             raise ValueError("b_start must be >= 0")
         if self.mode == "linear-decay" and not self.b_start >= self.b_end >= 0:
@@ -171,7 +174,7 @@ def simulate_gbm(
                     f"simulated price at day {k + 1} is {nxt}, past the float64 range"
                 )
             prices[k + 1] = price = nxt
-    return DailySeries.from_columns(synthetic_days(params.n_days), prices, index_name=index_name)
+    return DailySeries(synthetic_days(params.n_days), prices, index_name=index_name)
 
 
 def simulate_volume(
@@ -183,9 +186,9 @@ def simulate_volume(
     are nonnegative integers by construction. Raises VolumeOverflow when a
     count would not fit a 64-bit integer.
     """
-    if n0 < 1:
+    if not n0 >= 1:  # also refuses nan
         raise ValueError("n0 must be >= 1")
-    if noise_sd < 0:
+    if not noise_sd >= 0:
         raise ValueError("noise_sd must be >= 0")
     if n_days < 1:
         raise ValueError("n_days must be >= 1")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from marketreg.errors import NonFinitePrice, PathRejectionLimit
-from marketreg.series import DailyRecord, DailySeries
+from marketreg.series import DailySeries, day_column
 from marketreg.simulate import REDRAW_LIMIT, GbmParams, VolatilitySchedule, _standard_normals
 
 
@@ -33,20 +33,25 @@ def month_dates(n_days: int, days_per_month: int = 21, start_year: int = 2019) -
     return out
 
 
+def series_from_records(records, name: str = "unnamed") -> DailySeries:
+    """DailySeries of DailyRecord values, one row per record in order."""
+    records = list(records)
+    return DailySeries(
+        day_column([r.date.toordinal() for r in records]),
+        [r.close for r in records],
+        [r.volume for r in records],
+        name,
+    )
+
+
 def series_from_closes(
     closes,
     name: str = "test",
     days_per_month: int = 21,
     volumes=None,
 ) -> DailySeries:
-    closes = list(closes)
-    dates = month_dates(len(closes), days_per_month)
-    if volumes is None:
-        volumes = [None] * len(closes)
-    records = tuple(
-        DailyRecord(d, float(c), v) for d, c, v in zip(dates, closes, volumes)
-    )
-    return DailySeries(records, name)
+    closes = [float(c) for c in closes]
+    return DailySeries(month_dates(len(closes), days_per_month), closes, volumes, name)
 
 
 def exponential_series(alpha: float, n_days: int, s0: float = 1000.0,

@@ -372,6 +372,23 @@ class TestWorkerProcesses:
         assert err[1:] == [f"error: {first} and {second} would both write plot files named sp_*.tsv"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("option, message", [
+        (["--delimiter", ";;"], "delimiter must be a single printable character"),
+        (["--date-column", "Close"], "date_column and price_column must differ"),
+    ], ids=["delimiter", "date-column"])
+    def test_a_bad_ingest_config_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                            workers, option, message):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("analyze forked"), raising=False)
+        force_cpus(monkeypatch, workers)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), *option])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     @needs_fork
     def test_an_error_in_a_childs_plot_share_reaches_the_parent(self, tmp_path, monkeypatch):
         paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
@@ -469,6 +486,17 @@ class TestSimulateCommand:
         assert rc == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {flag[2:]} must be finite\n"
+
+    @pytest.mark.parametrize("flag, message", [("--volume-noise", "noise_sd must be >= 0"),
+                                               ("--volume-n0", "n0 must be >= 1")],
+                             ids=["noise", "n0"])
+    def test_nan_volume_parameter_exits_2_without_file(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--a", "0.0005", "--b", "0.015", "--s0", "1000", "--days", "100",
+                   "--seed", "1", "--volume-nu", "0.0004", flag, "nan", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     # sha256 of the files written by the one-step-at-a-time simulator: any change
     # to the random stream, the step arithmetic or the redraws moves them.
@@ -591,7 +619,7 @@ for seed in (1, 2):
     close = 1000.0 * np.cumprod(1.0 + 3e-4 + 0.012 * rng.standard_normal(n))
     eta = 0.1 * rng.standard_normal(n)
     volume = np.rint(1e6 * np.exp(2e-4 * np.arange(n) + eta)).astype(np.int64)
-    series = DailySeries.from_columns(synthetic_days(n), close, volume, f"path{seed}")
+    series = DailySeries(synthetic_days(n), close, volume, f"path{seed}")
     reports.append(analyze_index(series))
 print(render_report_json(report_payload(reports)))
 """

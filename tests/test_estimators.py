@@ -588,7 +588,7 @@ class TestAnalyzeIndex:
             GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=1260, seed=17),
             schedule=VolatilitySchedule.linear_decay(0.02, 0.005),
         )
-        scaled = series_from_closes(base.closes() * c, days_per_month=21)
+        scaled = series_from_closes(base.close * c, days_per_month=21)
         r1, r2 = analyze_index(base), analyze_index(scaled)
         assert r2.a == pytest.approx(r1.a, rel=1e-10, abs=1e-12)
         assert r2.mu == pytest.approx(r1.mu, rel=1e-10, abs=1e-12)

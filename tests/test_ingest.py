@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import series_from_records
 from marketreg import ingest
 from marketreg.errors import (
     DuplicateDate,
@@ -122,11 +123,11 @@ class TestParse:
             decimal_comma=True,
         )
         s = parse_daily_file(text, cfg)
-        assert s.closes().tolist() == [1.5, 2.5]
+        assert s.close.tolist() == [1.5, 2.5]
 
     def test_header_whitespace_tolerated(self):
         s = parse_daily_file("Date, Close\n2019-04-01, 3.5\n")
-        assert s.closes().tolist() == [3.5]
+        assert s.close.tolist() == [3.5]
 
     def test_invalid_utf8_is_structured(self):
         with pytest.raises(MalformedRow):
@@ -214,7 +215,7 @@ def series_strategy(draw):
     records = tuple(
         DailyRecord(d, c, v) for d, c, v in zip(dates, closes, volumes)
     )
-    return DailySeries(records, "roundtrip")
+    return series_from_records(records, "roundtrip")
 
 
 class TestRoundTrip:
@@ -259,18 +260,18 @@ class TestValidate:
             DailyRecord(date(2019, 1, 2), 0.0),
             DailyRecord(date(2019, 1, 3), 100.0),
         )
-        assert validate_series(DailySeries(recs)).bad_prices == 1
+        assert validate_series(series_from_records(recs)).bad_prices == 1
 
     def test_largest_single_day_move(self):
         recs = (
             DailyRecord(date(2019, 1, 1), 100.0),
             DailyRecord(date(2019, 1, 2), 150.0),
         )
-        assert validate_series(DailySeries(recs)).max_abs_delta == 50.0
+        assert validate_series(series_from_records(recs)).max_abs_delta == 50.0
 
     def test_single_record_has_no_delta(self):
         recs = (DailyRecord(date(2019, 1, 1), 100.0),)
-        assert validate_series(DailySeries(recs)).max_abs_delta is None
+        assert validate_series(series_from_records(recs)).max_abs_delta is None
 
     def test_missing_volume_count(self):
         s = parse_daily_file("Date,Close,Volume\n2019-04-01,1,\n2019-04-02,1,5\n")

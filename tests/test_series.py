@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import month_dates, monthly_oracle, series_from_closes
+from helpers import month_dates, monthly_oracle, series_from_closes, series_from_records
 from marketreg.errors import FluctuationOverflow, InsufficientData, NonPositivePrice
 from marketreg.estimators import daily_fluctuations
 from marketreg.ingest import parse_daily_file
@@ -36,7 +36,7 @@ class TestTypes:
             DailyRecord(date(2019, 1, 1), 101.0),
         )
         with pytest.raises(ValueError):
-            DailySeries(recs)
+            series_from_records(recs)
 
     def test_series_rejects_duplicate_dates(self):
         recs = (
@@ -44,11 +44,11 @@ class TestTypes:
             DailyRecord(date(2019, 1, 1), 101.0),
         )
         with pytest.raises(ValueError):
-            DailySeries(recs)
+            series_from_records(recs)
 
     def test_series_rejects_empty(self):
         with pytest.raises(ValueError):
-            DailySeries(())
+            series_from_records(())
 
     def test_t_origin_is_first_date(self):
         s = series_from_closes([1.0, 2.0, 3.0])
@@ -64,18 +64,17 @@ class TestTypes:
             with pytest.raises(ValueError):
                 column[0] = column[1]
 
-    def test_from_columns_equals_records_constructor(self):
+    def test_columns_equal_records(self):
         s = series_from_closes([1.0, 2.0, 3.0], name="x", volumes=[5, None, 7])
-        again = DailySeries.from_columns(s.dates, s.close, [5, None, 7], "x")
+        again = series_from_records(s.records, "x")
         assert again == s
         assert again.records == s.records
-        assert DailySeries(s.records, "y") != s
+        assert series_from_records(s.records, "y") != s
+        assert DailySeries(s.dates, s.close, s.volume, "x", s.volume_mask) == s
 
     def test_order_error_names_both_dates(self):
         with pytest.raises(ValueError, match="2019-01-01 follows 2019-01-02"):
-            DailySeries.from_columns(
-                np.array(["2019-01-02", "2019-01-01"], dtype="datetime64[D]"), [1.0, 2.0]
-            )
+            DailySeries(np.array(["2019-01-02", "2019-01-01"], dtype="datetime64[D]"), [1.0, 2.0])
 
     def test_fluctuations_must_be_finite(self):
         days = r"t=0 \(2019-01-01\) is 1e-300, close at t=1 \(2019-01-02\) is 1e\+300"
@@ -94,7 +93,7 @@ class TestTypes:
         s = series_from_closes([1.0, 2.0, 3.0])
         s2 = s.with_volumes([10, None, 30])
         assert s2.volumes() == [10, None, 30]
-        assert s2.closes().tolist() == s.closes().tolist()
+        assert s2.close.tolist() == s.close.tolist()
         with pytest.raises(ValueError):
             s.with_volumes([1, 2])
 
@@ -102,13 +101,13 @@ class TestTypes:
 class TestLogSeries:
     def test_exact_exponential(self):
         s = series_from_closes([1.0, math.e, math.e**2])
-        pts = log_series(s)
-        assert [p[0] for p in pts] == [0, 1, 2]
-        assert np.allclose([p[1] for p in pts], [0.0, 1.0, 2.0], atol=1e-15)
+        ln_close = log_series(s)
+        assert ln_close.shape == (3,) and not ln_close.flags.writeable
+        assert np.allclose(ln_close, [0.0, 1.0, 2.0], atol=1e-15)
 
     def test_constant_1000(self):
         s = series_from_closes([1000.0] * 3)
-        for _, v in log_series(s):
+        for v in log_series(s):
             assert abs(v - LN_1000) < 1e-12
 
     def test_nonpositive_price_raises(self):
@@ -131,7 +130,7 @@ class TestLogSeries:
     )
     def test_monotone_preserving(self, closes):
         s = series_from_closes(closes)
-        logs = [v for _, v in log_series(s)]
+        logs = log_series(s).tolist()
         for i in range(len(closes)):
             for j in range(len(closes)):
                 a, b = closes[i], closes[j]
@@ -208,7 +207,7 @@ class TestMonthlyAggregates:
         dates += [date(2019, 2, d) for d in range(1, 10)]
         dates += [date(2019, 3, d) for d in range(1, 22)]
         recs = tuple(DailyRecord(d, 100.0) for d in dates)
-        table = monthly_aggregates(DailySeries(recs))
+        table = monthly_aggregates(series_from_records(recs))
         assert table.tau.tolist() == [0, 1]
         assert [table.calendar_month(row) for row in range(2)] == [(2019, 1), (2019, 3)]
 
@@ -216,7 +215,7 @@ class TestMonthlyAggregates:
     @settings(max_examples=40)
     def test_scale_invariance(self, c):
         base = simulate_gbm(GbmParams(a=5e-4, b=0.01, s0=500.0, n_days=126, seed=7))
-        scaled = series_from_closes(base.closes() * c)
+        scaled = series_from_closes(base.close * c)
         t1, t2 = monthly_aggregates(base), monthly_aggregates(scaled)
         assert len(t1) == len(t2)
         for row in range(len(t1)):
@@ -234,7 +233,7 @@ class TestMonthlyAggregates:
         closes = (100.0 + np.arange(len(days)) % 37).tolist()
         text = "Date,Close\n" + "".join(f"{d.isoformat()},{c!r}\n" for d, c in zip(days, closes))
         records = [DailyRecord(d, c) for d, c in zip(days, closes)]
-        for series in (parse_daily_file(text), DailySeries(records)):
+        for series in (parse_daily_file(text), series_from_records(records)):
             table = monthly_aggregates(series, min_days=1)
             oracle = monthly_oracle(series, min_days=1)
             months = [table.calendar_month(row) for row in range(len(table))]

@@ -108,6 +108,18 @@ class TestVolatilitySchedule:
         with pytest.raises(ValueError):
             VolatilitySchedule.linear_decay(0.02, -0.001)
 
+    @pytest.mark.parametrize("field", ["b_start", "b_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_is_named(self, field, value):
+        levels = {"b_start": 0.02, "b_end": 0.005, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            VolatilitySchedule("linear-decay", **levels)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constant_level_is_refused(self, value):
+        with pytest.raises(ValueError, match="^b_start must be finite$"):
+            VolatilitySchedule.constant(value)
+
 
 class TestSyntheticCalendar:
     def test_21_days_per_month_from_epoch(self):
@@ -127,7 +139,7 @@ class TestSimulateGbm:
     def test_zero_volatility_is_compound_growth(self):
         params = GbmParams(a=5e-4, b=0.0, s0=1000.0, n_days=500, seed=1)
         series = simulate_gbm(params)
-        closes = series.closes()
+        closes = series.close
         expected = 1000.0 * (1.0 + 5e-4) ** np.arange(500)
         assert np.allclose(closes, expected, rtol=1e-10)
         # the estimator sees ln(1 + a*dt) per day
@@ -136,12 +148,12 @@ class TestSimulateGbm:
 
     def test_zero_drift_zero_volatility_is_constant(self):
         series = simulate_gbm(GbmParams(a=0.0, b=0.0, s0=42.0, n_days=50, seed=1))
-        assert np.all(series.closes() == 42.0)
+        assert np.all(series.close == 42.0)
 
     def test_single_day_path(self):
         series = simulate_gbm(GbmParams(a=1e-3, b=0.01, s0=5.0, n_days=1, seed=1))
         assert len(series) == 1
-        assert series.closes()[0] == 5.0
+        assert series.close[0] == 5.0
 
     def test_fluctuation_moments_match_generating_params(self):
         # E[delta] = 100*a*dt and sd[delta] = 100*b*sqrt(dt) by construction.
@@ -160,7 +172,7 @@ class TestSimulateGbm:
     def test_positivity_under_heavy_noise(self):
         # b = 0.9 rejects roughly one step in eight, so redraws are exercised.
         series = simulate_gbm(GbmParams(a=0.0, b=0.9, s0=1.0, n_days=2000, seed=5))
-        assert np.all(series.closes() > 0)
+        assert np.all(series.close > 0)
 
     def test_rejection_limit(self):
         with pytest.raises(PathRejectionLimit):
@@ -271,6 +283,14 @@ class TestSimulateVolume:
             simulate_volume(0.0, 1e6, -0.1, 10, seed=1)
         with pytest.raises(ValueError):
             simulate_volume(0.0, 1e6, 0.0, 0, seed=1)
+
+    @pytest.mark.parametrize("n0, noise_sd, message", [
+        (math.nan, 0.0, "^n0 must be >= 1$"),
+        (1e6, math.nan, "^noise_sd must be >= 0$"),
+    ], ids=["n0", "noise_sd"])
+    def test_nan_level_or_noise_is_refused(self, n0, noise_sd, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_volume(4e-4, n0, noise_sd, 10, seed=1)
 
     def test_int64_overflow_raises_instead_of_wrapping(self):
         # 1e6*exp(4e-4*k) passes 2**63 near k = 74,600, where an unchecked

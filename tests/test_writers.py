@@ -111,8 +111,7 @@ class TestSameBytesAsRowByRow:
         base = gbm_path(800, 14)
         for start in ("0001-01-01", "0998-06-15"):
             dates = np.datetime64(start) + np.arange(800)
-            series = DailySeries.from_columns(dates, base.close, base.volume, "early",
-                                              base.volume_mask)
+            series = DailySeries(dates, base.close, base.volume, "early", base.volume_mask)
             new, old = daily_bytes(series, tmp_path)
             assert new == old
             assert new.split(b"\n")[1].startswith(start.encode())
