@@ -334,22 +334,35 @@ def parse_daily_path(
 
 
 _BLOCK_ROWS = 8192  # rows formatted by one % operation
+_DAY_CELLS = np.array([f"{day:02d}" for day in range(1, 32)], dtype=object)
 
 
 def format_rows(row_format: str, columns):
     """Text of the rows of ``columns`` (equal-length numpy arrays), one block
     of rows at a time: each block's cells, as Python values, fill
     ``row_format`` repeated once per row, so a ``%s`` float prints as its
-    shortest round-trip repr and a datetime64 day as YYYY-MM-DD."""
+    shortest round-trip repr."""
     n_cols = len(columns)
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [column[start:start + _BLOCK_ROWS] for column in columns]
-        block = [(b.astype(str) if b.dtype.kind == "M" else b).tolist() for b in block]
+        block = [column[start:start + _BLOCK_ROWS].tolist() for column in columns]
         n_rows = len(block[0])
         cells = [None] * (n_rows * n_cols)
         for i, column in enumerate(block):
             cells[i::n_cols] = column
         yield (row_format * n_rows) % tuple(cells)
+
+
+def _date_cells(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Object columns of "YYYY-MM-" and "DD" strings that together spell each
+    of the increasing ``dates`` in ISO form. Only the first day of each month
+    is cast to text; every row takes its month's prefix and one of 31 day
+    strings."""
+    months = dates.astype("datetime64[M]")
+    new_month = np.empty(len(dates), dtype=bool)
+    new_month[:1] = True
+    np.not_equal(months[1:], months[:-1], out=new_month[1:])
+    prefixes = np.array([m + "-" for m in months[new_month].astype(str).tolist()], dtype=object)
+    return prefixes[np.cumsum(new_month) - 1], _DAY_CELLS[(dates - months).astype(np.int64)]
 
 
 def write_daily_file(series: DailySeries, dest) -> None:
@@ -359,20 +372,19 @@ def write_daily_file(series: DailySeries, dest) -> None:
     shortest decimal that reproduces the float exactly, and the Volume
     column is emitted only when at least one record carries a volume.
     """
-    header = "Date,Close"
-    columns = [series.dates, series.close]
+    header, row_format = "Date,Close", "%s%s,%s"
+    columns = [*_date_cells(series.dates), series.close]
     if series.has_volume():
-        header += ",Volume"
+        header, row_format = header + ",Volume", row_format + ",%s"
         volume = series.volume
         if not series.volume_mask.all():
             volume = np.where(series.volume_mask, volume.astype(object), "")
         columns.append(volume)
-    row_format = ",".join(["%s"] * len(columns)) + "\n"
 
     opened = nullcontext(dest) if hasattr(dest, "write") else Path(dest).open("w", encoding="utf-8")
     with opened as fh:
         fh.write(header + "\n")
-        fh.writelines(format_rows(row_format, columns))
+        fh.writelines(format_rows(row_format + "\n", columns))
 
 
 def validate_series(series: DailySeries) -> ValidationSummary:

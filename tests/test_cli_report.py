@@ -487,13 +487,16 @@ class TestSimulateCommand:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {flag[2:]} must be finite\n"
 
-    @pytest.mark.parametrize("flag, message", [("--volume-noise", "noise_sd must be >= 0"),
-                                               ("--volume-n0", "n0 must be >= 1")],
-                             ids=["noise", "n0"])
-    def test_nan_volume_parameter_exits_2_without_file(self, tmp_path, capsys, flag, message):
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--volume-noise", "noise_sd must be finite and >= 0"),
+        ("--volume-n0", "n0 must be finite and >= 1"),
+    ], ids=["noise", "n0"])
+    def test_non_finite_volume_parameter_exits_2_without_file(self, tmp_path, capsys, flag,
+                                                              message, value):
         out = tmp_path / "x.csv"
         rc = main(["simulate", "--a", "0.0005", "--b", "0.015", "--s0", "1000", "--days", "100",
-                   "--seed", "1", "--volume-nu", "0.0004", flag, "nan", "--out", str(out)])
+                   "--seed", "1", "--volume-nu", "0.0004", flag, value, "--out", str(out)])
         assert rc == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -637,20 +640,33 @@ def test_report_does_not_depend_on_the_blas_thread_count():
     assert texts[0] == texts[1]
 
 
-def test_importing_the_cli_does_not_load_scipy():
-    # scipy is needed only to draw random numbers, which analyze never does.
-    src = str(Path(marketreg.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, marketreg.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
-
-
 def child_env() -> dict:
     """This environment with the package's source directory first on PYTHONPATH."""
     src = str(Path(marketreg.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+DRAW_WITHOUT_SCIPY = """
+import sys
+from marketreg import cli
+print('scipy' in sys.modules)
+assert cli.main(["simulate", "--a", "0.0003", "--b", "0.012", "--s0", "1000", "--days", "600",
+                 "--seed", "3", "--volume-nu", "0.0004", "--volume-noise", "0.1",
+                 "--out", sys.argv[1]]) == 0
+from marketreg.selftest import run_selftest
+run_selftest()
+print('scipy' in sys.modules)
+"""
+
+
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
+    # Normals come from the package's own port of ndtri; scipy is only its
+    # reference in the tests.
+    out = subprocess.run([sys.executable, "-c", DRAW_WITHOUT_SCIPY, str(tmp_path / "x.csv")],
+                         capture_output=True, text=True, check=True, env=child_env())
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
+    assert (tmp_path / "x.csv").exists()
 
 
 def test_importing_the_cli_does_not_load_process_pools():

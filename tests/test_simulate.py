@@ -19,6 +19,7 @@ from marketreg.series import monthly_aggregates
 from marketreg.simulate import (
     GbmParams,
     VolatilitySchedule,
+    _ndtri,
     simulate_gbm,
     simulate_volume,
     synthetic_days,
@@ -28,6 +29,7 @@ from marketreg.simulate import (
 WIENER_SEED = 20190419  # pinned; all statistical bounds below verified to hold
 GBM_SEED = 20190421
 DECAY_SEED = 20190422
+NDTRI_SEED = 20190423
 
 
 class TestWienerIncrements:
@@ -67,6 +69,35 @@ class TestWienerIncrements:
         assert np.array_equal(
             wiener_increments(64, seed=seed), wiener_increments(64, seed=seed)
         )
+
+
+def assert_same_bits_as_scipy(u: np.ndarray) -> None:
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    port, reference = _ndtri(u), ndtri(u)
+    differ = np.flatnonzero(port.view(np.int64) != reference.view(np.int64))
+    assert differ.size == 0, f"{differ.size} of {u.size} differ, first at u = {u[differ[0]]!r}"
+
+
+class TestNdtriPort:
+    """The numpy port of Cephes ndtri returns the bits of scipy.special.ndtri."""
+
+    def test_pinned_53_bit_uniforms(self):
+        u = np.maximum(np.random.default_rng(NDTRI_SEED).random(1_000_000), 2.0**-54)
+        assert_same_bits_as_scipy(u)
+
+    def test_powers_of_two_reach_both_far_tails(self):
+        lower = np.ldexp(1.0, -np.arange(1, 1075))  # down to the smallest subnormal
+        upper = 1.0 - np.ldexp(1.0, -np.arange(1, 54))
+        # The third approximation takes over below exp(-32), on either side.
+        far = math.exp(-32)
+        assert lower.min() < far and 1.0 - upper.max() < far
+        assert_same_bits_as_scipy(np.concatenate([lower, upper]))
+
+    def test_clamp_and_branch_edges(self):
+        u = [2.0**-54]
+        for edge in (math.exp(-2), 1.0 - math.exp(-2)):
+            u += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        assert_same_bits_as_scipy(np.array(u))
 
 
 class TestGbmParams:
@@ -285,10 +316,12 @@ class TestSimulateVolume:
             simulate_volume(0.0, 1e6, 0.0, 0, seed=1)
 
     @pytest.mark.parametrize("n0, noise_sd, message", [
-        (math.nan, 0.0, "^n0 must be >= 1$"),
-        (1e6, math.nan, "^noise_sd must be >= 0$"),
-    ], ids=["n0", "noise_sd"])
-    def test_nan_level_or_noise_is_refused(self, n0, noise_sd, message):
+        (math.nan, 0.0, "^n0 must be finite and >= 1$"),
+        (math.inf, 0.0, "^n0 must be finite and >= 1$"),
+        (1e6, math.nan, "^noise_sd must be finite and >= 0$"),
+        (1e6, math.inf, "^noise_sd must be finite and >= 0$"),
+    ], ids=["nan-n0", "inf-n0", "nan-noise_sd", "inf-noise_sd"])
+    def test_non_finite_level_or_noise_is_refused(self, n0, noise_sd, message):
         with pytest.raises(ValueError, match=message):
             simulate_volume(4e-4, n0, noise_sd, 10, seed=1)
 

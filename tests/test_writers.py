@@ -7,6 +7,7 @@ with one ``%`` operation; ``helpers.reference_write_tsv`` and
 
 import io
 import tracemalloc
+from datetime import date
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ class TestSameBytesAsRowByRow:
             assert new.split(b"\n")[1].startswith(start.encode())
             block, reference = plot_bytes(series, tmp_path / start, monkeypatch)
             assert block == reference
+
+    @pytest.mark.parametrize("partial_volume", [False, True], ids=["volume", "gapped-volume"])
+    def test_dates_at_calendar_edges(self, tmp_path, partial_volume):
+        days = [date(1, 1, 1), date(1, 1, 31), date(1, 2, 1), date(999, 12, 31), date(1000, 1, 1),
+                date(1999, 12, 31), date(2000, 2, 28), date(2000, 2, 29), date(2000, 3, 1),
+                date(2001, 4, 30), date(2001, 5, 31), date(9999, 11, 30), date(9999, 12, 1),
+                date(9999, 12, 31)]
+        volumes = [None if partial_volume and k % 3 == 1 else 10 * k for k in range(len(days))]
+        series = DailySeries(days, np.linspace(1.0, 2.0, len(days)), volumes, "edges")
+        new, old = daily_bytes(series, tmp_path)
+        assert new == old
+        lines = new.decode().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [d.isoformat() for d in days]
+        assert sum(line.endswith(",") for line in lines) == volumes.count(None)
 
     def test_index_name_with_percent(self, tmp_path, monkeypatch):
         series = gbm_path(1200, 15, name="100% S&P %s %d")
