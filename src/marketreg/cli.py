@@ -1,6 +1,6 @@
 """Command-line entry point: analyze data files, simulate paths, self-test.
 
-Exit codes: 0 success, 2 input error (bad data, columns or simulate parameters,
+Exit codes: 0 success, 2 input error (bad data, columns, paths or simulate parameters,
 including a simulated price past float64 or volume past int64, a day-over-day
 change past float64, and two inputs whose plot files would share a name),
 3 estimation error, 4 selftest failure.
@@ -141,8 +141,9 @@ def run_analyze(args: argparse.Namespace) -> int:
 
     for path, (name, _, error) in zip(args.input, outcomes):
         if name is None:
-            if isinstance(error, FileNotFoundError):
-                raise _CliFailure(EXIT_INPUT, f"{path}: file not found") from None
+            if isinstance(error, OSError):
+                reason = "file not found" if isinstance(error, FileNotFoundError) else error.strerror
+                raise _CliFailure(EXIT_INPUT, f"{path}: {reason}") from None
             if isinstance(error, MarketRegError):
                 raise _CliFailure(error.exit_code, f"{path}: {error}") from None
             raise error
@@ -166,10 +167,14 @@ def run_analyze(args: argparse.Namespace) -> int:
     reports = [report for _, _, report in outcomes]
 
     payload = report_payload(reports)
-    args.out.mkdir(parents=True, exist_ok=True)
+    plots_dir = args.out / "plots"
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        if args.plots:
+            plots_dir.mkdir(exist_ok=True)
+    except OSError as exc:
+        raise _CliFailure(EXIT_INPUT, f"{exc.filename}: {exc.strerror}") from None
     if args.plots:
-        plots_dir = args.out / "plots"
-        plots_dir.mkdir(exist_ok=True)
         _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n)
     report_path = args.out / "report.json"
     write_report_atomic(payload, report_path)

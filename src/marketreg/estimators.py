@@ -29,7 +29,6 @@ from .errors import (
     NoVolumeData,
 )
 from .series import (
-    MIN_DAYS_PER_MONTH,
     DailySeries,
     MonthlyTable,
     _close_at,
@@ -137,14 +136,13 @@ class RegularityReport:
     m: float
     w: float
     nu: float | None
-    spike_tau: int | None
-    spike_value: float | None
-    spike_month: tuple[int, int] | None
+    spike_tau: int
+    spike_value: float
+    spike_month: tuple[int, int]
     n_records: int
     n_months: int
     bin_width: float
     variance_fit_mode: str
-    min_days_per_month: int = MIN_DAYS_PER_MONTH
     gaussian: GaussianOffsetFit | None = None
     diagnostics: dict[str, FitResult] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
@@ -274,8 +272,8 @@ def build_histogram(fluct: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     Uniform bins span [min - width, max + width] so the extreme observations
     sit strictly inside the binned range; bins are left-closed right-open.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
+    if not 0 < bin_width < math.inf:
+        raise ValueError("bin_width must be finite and > 0")
     if len(fluct) < 1:
         raise InsufficientData("cannot bin an empty fluctuation series")
     d = np.asarray(fluct, dtype=float)
@@ -388,7 +386,6 @@ def analyze_index(
     series: DailySeries,
     bin_width: float = DEFAULT_BIN_WIDTH,
     variance_fit_mode: str = "intercept",
-    min_days_per_month: int = MIN_DAYS_PER_MONTH,
 ) -> RegularityReport:
     """Run the full estimation pipeline on one index.
 
@@ -399,7 +396,7 @@ def analyze_index(
     a, fit_a = fit_daily_growth(series)
     fluct = daily_fluctuations(series)
     mu, sigma = fluctuation_moments(fluct)
-    monthly = monthly_aggregates(series, min_days_per_month)
+    monthly = monthly_aggregates(series)
     m, fit_m = fit_monthly_growth(monthly)
     w, fit_w = fit_variance_decline(monthly, variance_fit_mode)
     spike_tau, spike_value = detect_variance_spike(monthly)
@@ -444,7 +441,6 @@ def analyze_index(
         n_months=len(monthly),
         bin_width=bin_width,
         variance_fit_mode=variance_fit_mode,
-        min_days_per_month=min_days_per_month,
         gaussian=gaussian,
         diagnostics=diagnostics,
         errors=errors,

@@ -90,9 +90,7 @@ def report_payload(reports: list[RegularityReport]) -> dict:
                 "nu_pct_per_day": rep.nu,
                 "spike_tau": rep.spike_tau,
                 "spike_var_log": rep.spike_value,
-                "spike_month": None
-                if rep.spike_month is None
-                else f"{rep.spike_month[0]:04d}-{rep.spike_month[1]:02d}",
+                "spike_month": f"{rep.spike_month[0]:04d}-{rep.spike_month[1]:02d}",
                 "b_hat_per_sqrt_day": rep.b_hat,
                 "bin_width_pct": rep.bin_width,
                 "variance_fit_mode": rep.variance_fit_mode,

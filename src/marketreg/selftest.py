@@ -39,7 +39,11 @@ DEFAULT_SEED = 20190419
 
 
 def default_seed() -> int:
-    return int(os.environ.get("MARKETREG_SEED", DEFAULT_SEED))
+    text = os.environ.get("MARKETREG_SEED", str(DEFAULT_SEED))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"MARKETREG_SEED must be an integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)

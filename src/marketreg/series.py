@@ -55,15 +55,6 @@ def day_column(ordinals) -> np.ndarray:
     return (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
 
 
-def _volume_column(volumes) -> tuple[np.ndarray, np.ndarray]:
-    """int64 counts, 0 where a volume is None, and the mask of reported volumes."""
-    volumes = np.asarray(volumes)
-    if volumes.dtype.kind in "iu":
-        return volumes, np.ones(len(volumes), dtype=bool)
-    mask = np.not_equal(volumes, None)
-    return np.where(mask, volumes, 0).astype(np.int64), mask
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class DailySeries:
     """Ordered daily closes, and optionally volumes, of one index as read-only columns.
@@ -72,9 +63,8 @@ class DailySeries:
     ``volume_mask`` false (with ``volume`` 0) where no volume was reported.
     Row k is trading day t = k; dates must be strictly increasing.
 
-    ``volumes`` holds None where no volume was reported or, when
-    ``volume_mask`` is given, is the int64 count column with 0 wherever the
-    mask is false; without either, no day has a volume.
+    ``volume`` is the column of counts. ``volume_mask`` defaults to every day
+    reported when ``volume`` is given, and to no day when it is not.
     """
 
     dates: np.ndarray
@@ -83,14 +73,18 @@ class DailySeries:
     volume_mask: np.ndarray
     index_name: str
 
-    def __init__(self, dates, close, volumes=None, index_name: str = "unnamed", volume_mask=None):
-        if volumes is None and volume_mask is None:
-            volumes, volume_mask = np.zeros(len(dates), dtype=np.int64), np.zeros(len(dates), dtype=bool)
-        elif volume_mask is None:
-            volumes, volume_mask = _volume_column(volumes)
+    def __init__(self, dates, close, volume=None, index_name: str = "unnamed", volume_mask=None):
+        if volume_mask is None:
+            volume_mask = np.full(len(dates), volume is not None)
+        volume = np.zeros(len(dates), dtype=np.int64) if volume is None else np.asarray(volume)
+        if volume.dtype.kind != "i":  # an integer column is taken as is
+            value = volume.astype(float)
+            bad = np.flatnonzero(~((np.floor(value) == value) & (abs(value) < 2.0**63)))
+            if bad.size:
+                raise ValueError(f"volume must be a finite integer below 2**63, got {volume[bad[0]]}")
         dates = np.array(dates, dtype="datetime64[D]")
         columns = {"dates": dates, "close": np.array(close, dtype=float),
-                   "volume": np.array(volumes, dtype=np.int64),
+                   "volume": np.array(volume, dtype=np.int64),
                    "volume_mask": np.array(volume_mask, dtype=bool)}
         if len(dates) == 0:
             raise ValueError("a DailySeries needs at least one record")
@@ -125,21 +119,15 @@ class DailySeries:
         rows = zip(self.dates.tolist(), self.close.tolist(), self.volumes())
         return tuple(DailyRecord(*row) for row in rows)
 
-    @property
-    def t_origin(self) -> Date:
-        """Calendar date of trading day t = 0."""
-        return self.dates[0].item()
-
     def volumes(self) -> list[int | None]:
         return np.where(self.volume_mask, self.volume.astype(object), None).tolist()
 
     def has_volume(self) -> bool:
         return bool(self.volume_mask.any())
 
-    def with_volumes(self, volumes) -> "DailySeries":
-        """Copy of the series with the volume column replaced; None marks a
-        volume that was not reported."""
-        return DailySeries(self.dates, self.close, volumes, self.index_name)
+    def with_volumes(self, volume) -> "DailySeries":
+        """Copy of the series with ``volume`` as its counts, every day reported."""
+        return DailySeries(self.dates, self.close, volume, self.index_name)
 
 
 @dataclass(frozen=True, eq=False)

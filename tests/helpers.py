@@ -33,14 +33,20 @@ def month_dates(n_days: int, days_per_month: int = 21, start_year: int = 2019) -
     return out
 
 
+def volume_columns(volumes) -> dict:
+    """The ``volume`` and ``volume_mask`` arguments of DailySeries for a list
+    that holds None where no volume was reported."""
+    return {"volume": [v or 0 for v in volumes], "volume_mask": [v is not None for v in volumes]}
+
+
 def series_from_records(records, name: str = "unnamed") -> DailySeries:
     """DailySeries of DailyRecord values, one row per record in order."""
     records = list(records)
     return DailySeries(
         day_column([r.date.toordinal() for r in records]),
         [r.close for r in records],
-        [r.volume for r in records],
-        name,
+        index_name=name,
+        **volume_columns([r.volume for r in records]),
     )
 
 
@@ -50,8 +56,12 @@ def series_from_closes(
     days_per_month: int = 21,
     volumes=None,
 ) -> DailySeries:
+    """Closes on a calendar of ``days_per_month`` trading days a month;
+    ``volumes`` holds None where no volume was reported."""
     closes = [float(c) for c in closes]
-    return DailySeries(month_dates(len(closes), days_per_month), closes, volumes, name)
+    volumes = [None] * len(closes) if volumes is None else volumes
+    return DailySeries(month_dates(len(closes), days_per_month), closes, index_name=name,
+                       **volume_columns(volumes))
 
 
 def exponential_series(alpha: float, n_days: int, s0: float = 1000.0,

@@ -91,11 +91,10 @@ class TestReportPayload:
 class TestPlotFiles:
     def test_monthly_rows_follow_the_report_month_filter(self, tmp_path):
         # The synthetic calendar has 21 trading days a month, so the path
-        # ends in a 5-day month that only min_days_per_month=5 keeps.
+        # ends in a 5-day month that the report's month filter drops.
         path = simulate_file(tmp_path, days=21 * 12 + 5, with_volume=False)
-        series = parse_daily_path(path)
-        rep = analyze_index(series, min_days_per_month=5)
-        assert rep.n_months != analyze_index(series).n_months
+        rep = analyze_index(parse_daily_path(path))
+        assert rep.n_months == 12
         files = {f.name: f for f in write_plot_files(rep, tmp_path / "plots")}
         for name in ("sim_monthly_mean_log.tsv", "sim_monthly_variance.tsv"):
             lines = files[name].read_text().splitlines()
@@ -272,6 +271,16 @@ class TestAnalyzeCommand:
         # Without --plots nothing is overwritten, so the same inputs are fine.
         assert main(["analyze", "--input", *map(str, paths), "--out", str(out_dir)]) == 0
 
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_a_non_finite_bin_width_exits_2(self, tmp_path, capsys, width):
+        path = simulate_file(tmp_path, days=1200)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["analyze", "--input", str(path), "--bin-width", width, "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: bin_width must be finite and > 0\n"
+        assert not out_dir.exists()
+
     def test_variance_fit_origin_mode(self, tmp_path):
         path = simulate_file(tmp_path)
         out_dir = tmp_path / "out"
@@ -388,6 +397,51 @@ class TestWorkerProcesses:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_unreadable_input_exits_2_in_input_order(self, tmp_path, monkeypatch, capsys,
+                                                         workers):
+        good = simulate_file(tmp_path, name="good.csv", days=1200)
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        # File modes do not stop a superuser, so a stand-in parse refuses this one.
+        locked = tmp_path / "locked.csv"
+        parse = cli.parse_daily_path
+
+        def refuse_locked(path, config):
+            if path == locked:
+                raise PermissionError(13, "Permission denied", str(path))
+            return parse(path, config)
+
+        monkeypatch.setattr(cli, "parse_daily_path", refuse_locked)
+        force_cpus(monkeypatch, workers)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        for inputs, message in (([good, folder, locked], f"{folder}: Is a directory"),
+                                ([good, locked, folder], f"{locked}: Permission denied")):
+            rc = main(["analyze", "--input", *map(str, inputs), "--out", str(out_dir)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_output_path_that_is_not_a_directory_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                            workers):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        (tmp_path / "out" / "plots").parent.mkdir()
+        (tmp_path / "out" / "plots").write_text("kept\n")
+        force_cpus(monkeypatch, workers)
+        capsys.readouterr()
+        for out_dir, refused, reason in ((taken, taken, "File exists"),
+                                         (taken / "out", taken / "out", "Not a directory"),
+                                         (tmp_path / "out", tmp_path / "out" / "plots", "File exists")):
+            rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {refused}: {reason}\n"
+        assert taken.read_text() == (tmp_path / "out" / "plots").read_text() == "kept\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["plots"]
 
     @needs_fork
     def test_an_error_in_a_childs_plot_share_reaches_the_parent(self, tmp_path, monkeypatch):
@@ -564,6 +618,12 @@ class TestSelftestCommand:
         monkeypatch.setenv("MARKETREG_SEED", "777000")
         assert main(["selftest"]) == 4
         assert "gbm_drift" in capsys.readouterr().out
+
+    def test_env_seed_must_be_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("MARKETREG_SEED", "abc")
+        assert main(["selftest"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: MARKETREG_SEED must be an integer, got 'abc'\n")
 
     def test_injected_drift_mismatch_fails_named_check(self):
         from marketreg.selftest import run_selftest

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import series_from_records
+from helpers import series_from_records, volume_columns
 from marketreg import ingest
 from marketreg.errors import (
     DuplicateDate,
@@ -153,7 +153,7 @@ class TestParse:
     )
     def test_iso_dates_accepted_as_strptime_does(self, cell, expected):
         s = parse_daily_file(f"Date,Close\n{cell},2\n")
-        assert s.t_origin == expected
+        assert s.dates[0].item() == expected
 
     @pytest.mark.parametrize(
         "cell", ["20190401", "2019-W14-1", "2019-02-30", "2019-04-01T00:00", "2019-04-0\u0661"]
@@ -420,7 +420,8 @@ class TestColumnPath:
 
     def test_yahoo_layout(self, long_path, without_row_loop):
         volumes = [None if k % 7 == 3 else 1000 + k for k in range(len(long_path))]
-        series = long_path.with_volumes(volumes)
+        series = DailySeries(long_path.dates, long_path.close, index_name=long_path.index_name,
+                             **volume_columns(volumes))
         rows = [
             f"{day},1.0,2.0,0.5,{close!r},{close!r},{'' if volume is None else volume}"
             for day, close, volume in zip(series.dates.tolist(), series.close.tolist(), volumes)

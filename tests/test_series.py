@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -50,10 +51,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             series_from_records(())
 
-    def test_t_origin_is_first_date(self):
-        s = series_from_closes([1.0, 2.0, 3.0])
-        assert s.t_origin == s.records[0].date
-
     def test_columns_are_read_only_arrays(self):
         s = series_from_closes([1.0, 2.0, 3.0], volumes=[5, None, 7])
         assert s.dates.dtype == np.dtype("datetime64[D]")
@@ -91,11 +88,24 @@ class TestTypes:
 
     def test_with_volumes_roundtrip(self):
         s = series_from_closes([1.0, 2.0, 3.0])
-        s2 = s.with_volumes([10, None, 30])
-        assert s2.volumes() == [10, None, 30]
+        s2 = s.with_volumes([10, 0, 30])
+        assert s2.volumes() == [10, 0, 30]
+        assert s2.volume_mask.tolist() == [True, True, True]
         assert s2.close.tolist() == s.close.tolist()
         with pytest.raises(ValueError):
             s.with_volumes([1, 2])
+
+    def test_whole_float_volumes_are_counts(self):
+        s = series_from_closes([1.0, 2.0, 3.0]).with_volumes([10.0, 0.0, 2.0**62])
+        assert s.volume.dtype == np.int64 and s.volumes() == [10, 0, 2**62]
+
+    @pytest.mark.parametrize("volume, shown", [([10, 1.5, 2.7], "1.5"), ([10, 1e19, 30], "1e+19"),
+                                               ([10, float("nan"), 30], "nan"),
+                                               ([10, None, 30], "None")])
+    def test_volume_must_be_a_finite_integer_below_2_63(self, volume, shown):
+        s = series_from_closes([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=rf"finite integer below 2\*\*63, got {re.escape(shown)}$"):
+            s.with_volumes(volume)
 
 
 class TestLogSeries:

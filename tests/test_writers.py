@@ -11,7 +11,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from helpers import exponential_series, reference_write_daily_file, reference_write_tsv
+from helpers import exponential_series, reference_write_daily_file, reference_write_tsv, volume_columns
 
 from marketreg import ingest, report
 from marketreg.estimators import analyze_index
@@ -79,7 +79,8 @@ class TestSameBytesAsRowByRow:
         series = gbm_path(5500, 12)
         volumes = [None if k % 5 == 1 else (0 if k % 7 == 2 else int(v))
                    for k, v in enumerate(series.volume)]
-        series = series.with_volumes(volumes)
+        series = DailySeries(series.dates, series.close, index_name=series.index_name,
+                             **volume_columns(volumes))
         block, reference = plot_bytes(series, tmp_path, monkeypatch)
         assert block == reference
         kept = sum(1 for v in volumes if v)
@@ -126,7 +127,8 @@ class TestSameBytesAsRowByRow:
                 date(2001, 4, 30), date(2001, 5, 31), date(9999, 11, 30), date(9999, 12, 1),
                 date(9999, 12, 31)]
         volumes = [None if partial_volume and k % 3 == 1 else 10 * k for k in range(len(days))]
-        series = DailySeries(days, np.linspace(1.0, 2.0, len(days)), volumes, "edges")
+        series = DailySeries(days, np.linspace(1.0, 2.0, len(days)), index_name="edges",
+                             **volume_columns(volumes))
         new, old = daily_bytes(series, tmp_path)
         assert new == old
         lines = new.decode().splitlines()[1:]
