@@ -2,7 +2,7 @@
 """Demonstrate the variance-decline diagnostic on synthetic paths.
 
 A constant-volatility path should fit a statistically flat monthly-variance
-trend; a linearly decaying schedule must produce a significantly negative
+trend; a linearly decaying volatility must produce a significantly negative
 slope w. With ``--out DIR`` it writes all five plot files of each path into
 DIR and prints the paths of the two monthly-variance files, whose curves
 show the decline.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from marketreg.estimators import analyze_index
 from marketreg.report import write_plot_files
-from marketreg.simulate import GbmParams, VolatilitySchedule, simulate_gbm
+from marketreg.simulate import GbmParams, simulate_gbm
 
 
 def describe(tag, rep):
@@ -44,8 +44,8 @@ def main() -> None:
         index_name="constant_b",
     )
     decaying = simulate_gbm(
-        GbmParams(a=3e-4, b=args.b_start, s0=1000.0, n_days=days, seed=args.seed),
-        VolatilitySchedule.linear_decay(args.b_start, args.b_end),
+        GbmParams(a=3e-4, b=args.b_start, s0=1000.0, n_days=days, seed=args.seed,
+                  b_end=args.b_end),
         index_name="decaying_b",
     )
 

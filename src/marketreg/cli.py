@@ -24,7 +24,7 @@ from .report import (
     write_plot_files,
     write_report_atomic,
 )
-from .simulate import GbmParams, VolatilitySchedule, simulate_gbm, simulate_volume
+from .simulate import GbmParams, simulate_gbm, simulate_volume
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -196,15 +196,9 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_simulate(args: argparse.Namespace) -> int:
     """Write one simulated path (and optional volume column) in the canonical format."""
-    params = GbmParams(
-        a=args.a, b=args.b, s0=args.s0, n_days=args.days, seed=args.seed, dt=args.dt
-    )
-    schedule = (
-        VolatilitySchedule.linear_decay(params.b, args.decay_to)
-        if args.decay_to is not None
-        else None
-    )
-    series = simulate_gbm(params, schedule, index_name=args.out.stem)
+    params = GbmParams(a=args.a, b=args.b, s0=args.s0, n_days=args.days, seed=args.seed,
+                       dt=args.dt, b_end=args.decay_to)
+    series = simulate_gbm(params, index_name=args.out.stem)
     if args.volume_nu is not None:
         # The volume stream is seeded one past the price stream.
         volumes = simulate_volume(
@@ -271,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, required=True, help="64-bit generator seed")
     ps.add_argument("--dt", type=float, default=1.0, help="day fraction per step")
     ps.add_argument("--decay-to", type=float, default=None,
-                    help="end volatility of a linear decay schedule")
+                    help="end volatility of a linear decline from --b")
     ps.add_argument("--out", type=Path, required=True, metavar="FILE")
     ps.add_argument("--volume-nu", type=float, default=None,
                     help="also emit a volume column growing at this fraction per day")

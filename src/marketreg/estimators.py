@@ -25,14 +25,12 @@ from .errors import (
     DegenerateX,
     FluctuationOverflow,
     InsufficientData,
-    NonPositivePrice,
     NoVolumeData,
 )
 from .series import (
     DailySeries,
     MonthlyTable,
     _close_at,
-    finite_closes,
     log_series,
     log_volumes,
     monthly_aggregates,
@@ -232,18 +230,13 @@ def daily_fluctuations(series: DailySeries) -> np.ndarray:
     """Daily percentage change of the close with respect to the previous day,
     as a read-only array one shorter than the series.
 
-    Raises NonPositivePrice at the first nonpositive previous-day close and
-    FluctuationOverflow where a change does not fit a float64.
+    Raises FluctuationOverflow where a change does not fit a float64.
     """
     if len(series) < 2:
         raise InsufficientData("need at least 2 records for fluctuations")
-    closes = finite_closes(series)
-    prev = closes[:-1]
-    bad = np.flatnonzero(prev <= 0)
-    if bad.size:
-        raise NonPositivePrice(_close_at(series, int(bad[0])))
+    prev = series.close[:-1]
     with np.errstate(over="ignore"):
-        values = 100.0 * (closes[1:] - prev) / prev
+        values = 100.0 * (series.close[1:] - prev) / prev
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(bad[0])

@@ -57,7 +57,6 @@ class ValidationSummary:
     n: int
     first_date: Date | None
     last_date: Date | None
-    bad_prices: int
     missing_volumes: int
     max_abs_delta: float | None
 
@@ -388,19 +387,15 @@ def write_daily_file(series: DailySeries, dest) -> None:
 
 
 def validate_series(series: DailySeries) -> ValidationSummary:
-    """Report record count, date span, bad prices, missing volumes and the
-    largest single-day percentage move. Never raises on bad data: that is
-    what it exists to count."""
-    close = series.close
-    good = np.isfinite(close) & (close > 0)
-    prev, cur = close[:-1], close[1:]
-    pair = good[:-1] & np.isfinite(cur)
-    deltas = np.abs(100.0 * (cur[pair] - prev[pair]) / prev[pair])
+    """Report record count, date span, missing volumes and the largest
+    single-day percentage move. Every close is finite and positive, since
+    ``DailySeries`` refuses any other."""
+    prev, cur = series.close[:-1], series.close[1:]
+    deltas = np.abs(100.0 * (cur - prev) / prev)
     return ValidationSummary(
         n=len(series),
         first_date=series.dates[0].item(),
         last_date=series.dates[-1].item(),
-        bad_prices=int(np.count_nonzero(~good)),
         missing_volumes=int(np.count_nonzero(~series.volume_mask)),
         max_abs_delta=float(deltas.max()) if deltas.size else None,
     )

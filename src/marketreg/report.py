@@ -29,31 +29,24 @@ from .estimators import build_histogram, daily_fluctuations  # noqa: F401
 from .series import log_series, monthly_aggregates  # noqa: F401
 
 
-def _display_number(x: float | None, decimals: int) -> str:
+def _display(x: float | None, spec: str) -> str:
+    """``x`` formatted by ``spec``, or by ".2e" when it is nonzero and below 1e-3."""
     if x is None:
         return "-"
     if x != 0 and abs(x) < 1e-3:
         return f"{x:.2e}"
-    return f"{x:.{decimals}f}"
-
-
-def _display_sig3(x: float | None) -> str:
-    if x is None:
-        return "-"
-    if x != 0 and abs(x) < 1e-3:
-        return f"{x:.2e}"
-    return f"{x:.3g}"
+    return format(x, spec)
 
 
 def display_row(report: RegularityReport) -> dict[str, str]:
     """Summary-table strings for one index, at conventional print precision."""
     return {
-        "a": _display_number(report.a, 2),
-        "mu": _display_number(report.mu, 3),
-        "sigma": _display_number(report.sigma, 3),
-        "m": _display_number(report.m, 3),
-        "w": _display_sig3(report.w),
-        "nu": _display_number(report.nu, 2),
+        "a": _display(report.a, ".2f"),
+        "mu": _display(report.mu, ".3f"),
+        "sigma": _display(report.sigma, ".3f"),
+        "m": _display(report.m, ".3f"),
+        "w": _display(report.w, ".3g"),
+        "nu": _display(report.nu, ".2f"),
     }
 
 

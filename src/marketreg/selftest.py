@@ -28,7 +28,6 @@ from .report import render_report_json, report_payload
 from .series import DailySeries
 from .simulate import (
     GbmParams,
-    VolatilitySchedule,
     simulate_gbm,
     simulate_volume,
     synthetic_days,
@@ -153,9 +152,9 @@ def run_selftest(
     )
 
     # Declining volatility must show up as a significantly negative trend.
-    decay_params = GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=seed + 3)
-    schedule = VolatilitySchedule.linear_decay(0.02, 0.005)
-    decay_rep = analyze_index(simulate_gbm(decay_params, schedule))
+    decay_params = GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=seed + 3,
+                             b_end=0.005)
+    decay_rep = analyze_index(simulate_gbm(decay_params))
     needed = 3.0 / scale * decay_rep.diagnostics["variance_decline"].stderr_slope
     results.append(
         _check(

@@ -24,10 +24,8 @@ MIN_DAYS_PER_MONTH = 10
 class DailyRecord:
     """One trading day: closing price and, optionally, traded volume.
 
-    A close must be positive for any estimation to make sense. Violations are
-    surfaced by ``ingest.validate_series`` and rejected with NonPositivePrice
-    by the operations that take logarithms or divide by the previous close,
-    so that programmatically built series can still be inspected.
+    ``DailySeries`` refuses a close that is not finite and positive, so every
+    record read from a series has one.
     """
 
     date: Date
@@ -61,7 +59,8 @@ class DailySeries:
 
     ``dates`` is ``datetime64[D]``, ``close`` float64, ``volume`` int64 and
     ``volume_mask`` false (with ``volume`` 0) where no volume was reported.
-    Row k is trading day t = k; dates must be strictly increasing.
+    Row k is trading day t = k; dates must be strictly increasing, and every
+    close finite (else NonFinitePrice) and positive (else NonPositivePrice).
 
     ``volume`` is the column of counts. ``volume_mask`` defaults to every day
     reported when ``volume`` is given, and to no day when it is not.
@@ -101,6 +100,10 @@ class DailySeries:
         for name, column in columns.items():
             object.__setattr__(self, name, read_only(column))
         object.__setattr__(self, "index_name", index_name)
+        for error, bad in ((NonFinitePrice, ~np.isfinite(self.close)),
+                           (NonPositivePrice, self.close <= 0)):
+            if bad.any():
+                raise error(_close_at(self, int(np.argmax(bad))))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -174,25 +177,9 @@ def _close_at(series: DailySeries, t: int) -> str:
     return f"close at t={t} ({series.dates[t].item().isoformat()}) is {series.close[t].item()}"
 
 
-def finite_closes(series: DailySeries) -> np.ndarray:
-    """The close column. Raises NonFinitePrice at the first infinite or NaN close."""
-    bad = np.flatnonzero(~np.isfinite(series.close))
-    if bad.size:
-        raise NonFinitePrice(_close_at(series, int(bad[0])))
-    return series.close
-
-
 def log_series(series: DailySeries) -> np.ndarray:
-    """Natural log of each close, as a read-only column; row k is trading day t = k.
-
-    Raises NonFinitePrice if any close is infinite or NaN and
-    NonPositivePrice if any close is <= 0.
-    """
-    close = finite_closes(series)
-    bad = np.flatnonzero(close <= 0)
-    if bad.size:
-        raise NonPositivePrice(_close_at(series, int(bad[0])))
-    return read_only(np.log(close))
+    """Natural log of each close, as a read-only column; row k is trading day t = k."""
+    return read_only(np.log(series.close))
 
 
 def log_volumes(series: DailySeries) -> tuple[np.ndarray, np.ndarray]:

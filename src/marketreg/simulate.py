@@ -39,7 +39,9 @@ class GbmParams:
     """Generating parameters of one price path.
 
     ``a`` is the drift in fraction per day, ``b`` the volatility in fraction
-    per sqrt(day); ``dt`` defaults to one trading day.
+    per sqrt(day); ``dt`` defaults to one trading day. With ``b_end`` the
+    volatility declines linearly from ``b`` at the first step to ``b_end``
+    at the last; without it, it stays ``b``.
     """
 
     a: float
@@ -48,6 +50,7 @@ class GbmParams:
     n_days: int
     seed: int
     dt: float = 1.0
+    b_end: float | None = None
 
     def __post_init__(self):
         for name in ("a", "b", "s0", "dt"):
@@ -61,40 +64,11 @@ class GbmParams:
             raise ValueError("n_days must be >= 1")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-
-
-@dataclass(frozen=True)
-class VolatilitySchedule:
-    """Per-step volatility level: constant, or declining linearly over the path."""
-
-    mode: str
-    b_start: float
-    b_end: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("constant", "linear-decay"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        for name in ("b_start", "b_end"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.b_start < 0:
-            raise ValueError("b_start must be >= 0")
-        if self.mode == "linear-decay" and not self.b_start >= self.b_end >= 0:
-            raise ValueError("linear-decay needs b_start >= b_end >= 0")
-
-    @classmethod
-    def constant(cls, b: float) -> "VolatilitySchedule":
-        return cls("constant", b, b)
-
-    @classmethod
-    def linear_decay(cls, b_start: float, b_end: float) -> "VolatilitySchedule":
-        return cls("linear-decay", b_start, b_end)
-
-    def levels(self, n_steps: int) -> np.ndarray:
-        """Volatility coefficient for each of ``n_steps`` increments."""
-        if self.mode == "constant" or n_steps <= 1:
-            return np.full(n_steps, self.b_start)
-        return np.linspace(self.b_start, self.b_end, n_steps)
+        if self.b_end is not None:
+            if not math.isfinite(self.b_end):
+                raise ValueError("b_end must be finite")
+            if not self.b >= self.b_end >= 0:
+                raise ValueError("b_end must lie in [0, b]")
 
 
 # Cephes ndtri: sqrt(2 pi), exp(-2), and the coefficients of its three
@@ -193,25 +167,22 @@ def synthetic_days(n: int) -> np.ndarray:
     return months.astype("datetime64[D]") + day
 
 
-def simulate_gbm(
-    params: GbmParams,
-    schedule: VolatilitySchedule | None = None,
-    index_name: str = "simulated",
-) -> DailySeries:
+def simulate_gbm(params: GbmParams, index_name: str = "simulated") -> DailySeries:
     """Simulate one price path S_{k+1} = S_k * (1 + a*dt + b_k*dW_k).
 
-    ``schedule`` overrides the constant volatility ``params.b`` when given.
-    A step that would drive the price nonpositive is rejected and its
-    increment redrawn from the same stream; clamping instead would bias the
-    drift this module exists to verify. More than REDRAW_LIMIT consecutive
-    redraws raise PathRejectionLimit, which signals absurd parameters; a
-    price that overflows float64 raises NonFinitePrice.
+    b_k runs linearly from ``params.b`` to ``params.b_end``, or stays
+    ``params.b`` when ``b_end`` is None. A step that would drive the price
+    nonpositive is rejected and its increment redrawn from the same stream;
+    clamping instead would bias the drift this module exists to verify.
+    More than REDRAW_LIMIT consecutive redraws raise PathRejectionLimit,
+    which signals absurd parameters; a price that overflows float64 raises
+    NonFinitePrice.
     """
-    schedule = schedule or VolatilitySchedule.constant(params.b)
     n_steps = params.n_days - 1
     rng = np.random.default_rng(params.seed)
     sqrt_dt = math.sqrt(params.dt)
-    b_levels = schedule.levels(n_steps)
+    b_end = params.b if params.b_end is None else params.b_end
+    b_levels = np.linspace(params.b, b_end, n_steps)
     dws = _standard_normals(rng, n_steps) * sqrt_dt
     drift = params.a * params.dt
 
@@ -256,6 +227,8 @@ def simulate_volume(
     are nonnegative integers by construction. Raises VolumeOverflow when a
     count would not fit a 64-bit integer.
     """
+    if not math.isfinite(nu):
+        raise ValueError("nu must be finite")
     if not 1 <= n0 < math.inf:  # also refuses nan
         raise ValueError("n0 must be finite and >= 1")
     if not 0 <= noise_sd < math.inf:

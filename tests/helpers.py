@@ -19,7 +19,7 @@ import numpy as np
 
 from marketreg.errors import NonFinitePrice, PathRejectionLimit
 from marketreg.series import DailySeries, day_column
-from marketreg.simulate import REDRAW_LIMIT, GbmParams, VolatilitySchedule, _standard_normals
+from marketreg.simulate import REDRAW_LIMIT, GbmParams, _standard_normals
 
 
 def month_dates(n_days: int, days_per_month: int = 21, start_year: int = 2019) -> list[Date]:
@@ -142,14 +142,16 @@ def reference_write_daily_file(series: DailySeries, dest) -> None:
     Path(dest).write_text(payload, encoding="utf-8")
 
 
-def reference_simulate_gbm(params: GbmParams, schedule: VolatilitySchedule | None = None) -> np.ndarray:
+def reference_simulate_gbm(params: GbmParams) -> np.ndarray:
     """The closes of ``simulate.simulate_gbm``, one Python-level step at a time,
     with the same random stream, redraws and errors."""
-    schedule = schedule or VolatilitySchedule.constant(params.b)
     n_steps = params.n_days - 1
     rng = np.random.default_rng(params.seed)
     sqrt_dt = math.sqrt(params.dt)
-    b_levels = schedule.levels(n_steps).tolist() if n_steps > 0 else []
+    if params.b_end is None or n_steps <= 1:
+        b_levels = np.full(n_steps, params.b).tolist()
+    else:
+        b_levels = np.linspace(params.b, params.b_end, n_steps).tolist()
     dws = (_standard_normals(rng, n_steps) * sqrt_dt).tolist() if n_steps > 0 else []
 
     # Python floats round exactly as float64 does, and overflow to inf without a warning.

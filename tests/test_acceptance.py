@@ -36,7 +36,6 @@ from marketreg.ingest import parse_daily_path
 from marketreg.series import monthly_aggregates
 from marketreg.simulate import (
     GbmParams,
-    VolatilitySchedule,
     simulate_gbm,
     wiener_increments,
 )
@@ -187,8 +186,7 @@ def test_criterion_6_volatility_decline_sign():
 
     decay = analyze_index(
         simulate_gbm(
-            GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=DECAY_SEED),
-            VolatilitySchedule.linear_decay(0.02, 0.005),
+            GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=DECAY_SEED, b_end=0.005)
         )
     )
     decay_stderr = decay.diagnostics["variance_decline"].stderr_slope

@@ -18,8 +18,7 @@ from marketreg.errors import MarketRegError
 from marketreg.estimators import analyze_index
 from marketreg.ingest import parse_daily_path
 from marketreg.report import (
-    _display_number,
-    _display_sig3,
+    _display,
     render_report_json,
     report_payload,
     write_plot_files,
@@ -41,16 +40,16 @@ def simulate_file(tmp_path, name="sim.csv", seed=321, days=2520, with_volume=Tru
 
 class TestDisplayFormatting:
     def test_fixed_decimals(self):
-        assert _display_number(0.05123, 2) == "0.05"
-        assert _display_number(1.4949, 3) == "1.495"
-        assert _display_number(0.0, 3) == "0.000"
-        assert _display_number(None, 2) == "-"
+        assert _display(0.05123, ".2f") == "0.05"
+        assert _display(1.4949, ".3f") == "1.495"
+        assert _display(0.0, ".3f") == "0.000"
+        assert _display(None, ".2f") == "-"
 
     def test_scientific_below_milli(self):
-        assert _display_number(0.0005, 3) == "5.00e-04"
-        assert _display_sig3(-3.412e-6) == "-3.41e-06"
-        assert _display_sig3(0.00341) == "0.00341"
-        assert _display_sig3(None) == "-"
+        assert _display(0.0005, ".3f") == "5.00e-04"
+        assert _display(-3.412e-6, ".3g") == "-3.41e-06"
+        assert _display(0.00341, ".3g") == "0.00341"
+        assert _display(None, ".3g") == "-"
 
 
 class TestReportPayload:
@@ -529,9 +528,11 @@ class TestSimulateCommand:
             "error: n0*exp(nu*k + eta) = 1.069e+19 at day 30 does not fit a 64-bit count"
         ]
 
-    @pytest.mark.parametrize("flag, value", [("--s0", "nan"), ("--a", "nan"), ("--b", "inf"),
-                                             ("--dt", "nan")])
-    def test_non_finite_parameter_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--s0", "nan", "s0"), ("--a", "nan", "a"), ("--b", "inf", "b"), ("--dt", "nan", "dt"),
+        ("--decay-to", "nan", "b_end"),
+    ])
+    def test_non_finite_parameter_exits_2_naming_it(self, tmp_path, capsys, flag, value, name):
         params = {"--a": "0.0005", "--b": "0.015", "--s0": "1000", "--dt": "1.0"}
         params[flag] = value
         out = tmp_path / "x.csv"
@@ -539,13 +540,14 @@ class TestSimulateCommand:
                    "--days", "100", "--seed", "1", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        assert capsys.readouterr().err == f"error: {flag[2:]} must be finite\n"
+        assert capsys.readouterr().err == f"error: {name} must be finite\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag, message", [
         ("--volume-noise", "noise_sd must be finite and >= 0"),
         ("--volume-n0", "n0 must be finite and >= 1"),
-    ], ids=["noise", "n0"])
+        ("--volume-nu", "nu must be finite"),
+    ], ids=["noise", "n0", "nu"])
     def test_non_finite_volume_parameter_exits_2_without_file(self, tmp_path, capsys, flag,
                                                               message, value):
         out = tmp_path / "x.csv"
@@ -727,6 +729,12 @@ def test_importing_the_cli_does_not_load_scipy(tmp_path):
     lines = out.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "False")
     assert (tmp_path / "x.csv").exists()
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(marketreg.__all__)) == len(marketreg.__all__)
+    for name in marketreg.__all__:
+        assert hasattr(marketreg, name), name
 
 
 def test_importing_the_cli_does_not_load_process_pools():

@@ -36,10 +36,9 @@ from marketreg.estimators import (
     linear_least_squares,
     pearson_correlation,
 )
-from marketreg.series import MonthlyTable, log_series, monthly_aggregates
+from marketreg.series import MonthlyTable, monthly_aggregates
 from marketreg.simulate import (
     GbmParams,
-    VolatilitySchedule,
     simulate_gbm,
     simulate_volume,
     wiener_increments,
@@ -184,17 +183,24 @@ class TestDailyGrowth:
 
 class TestNonFiniteCloses:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    @pytest.mark.parametrize(
-        "step", [analyze_index, fit_daily_growth, daily_fluctuations, monthly_aggregates, log_series]
-    )
-    def test_rejected_with_a_named_error(self, step, bad):
+    def test_series_refuses_it_with_a_named_error(self, bad):
         # Infinite and NaN closes are NonFinitePrice, zero and negative ones
         # NonPositivePrice; either way the message names the day.
         closes = [100.0 * 1.001**k for k in range(63)]
         closes[30] = bad
         error = NonFinitePrice if not math.isfinite(bad) else NonPositivePrice
-        with pytest.raises(error, match=rf"close at t=30 \(2019-02-10\) is {bad}"):
-            step(series_from_closes(closes))
+        with pytest.raises(error, match=rf"^close at t=30 \(2019-02-10\) is {bad}$"):
+            series_from_closes(closes)
+
+    @pytest.mark.parametrize("closes, error, day", [
+        ([1.0, 2.0, 0.0], NonPositivePrice, r"t=2 \(2019-01-03\) is 0.0"),
+        ([0.0, math.inf, 1.0], NonFinitePrice, r"t=1 \(2019-01-02\) is inf"),
+    ], ids=["last-close-zero", "non-finite-before-nonpositive"])
+    def test_the_whole_column_is_checked(self, closes, error, day):
+        # A last close is no previous close; a non-finite close anywhere is
+        # named before a nonpositive one.
+        with pytest.raises(error, match=rf"^close at {day}$"):
+            series_from_closes(closes)
 
 
 class TestFluctuations:
@@ -585,8 +591,7 @@ class TestAnalyzeIndex:
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance_of_all_slopes(self, c):
         base = simulate_gbm(
-            GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=1260, seed=17),
-            schedule=VolatilitySchedule.linear_decay(0.02, 0.005),
+            GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=1260, seed=17, b_end=0.005)
         )
         scaled = series_from_closes(base.close * c, days_per_month=21)
         r1, r2 = analyze_index(base), analyze_index(scaled)

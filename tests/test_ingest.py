@@ -249,18 +249,9 @@ class TestValidate:
         s = parse_daily_file(MINIMAL)
         summary = validate_series(s)
         assert summary.n == 2
-        assert summary.bad_prices == 0
         assert summary.missing_volumes == 0
         assert summary.first_date == date(2019, 4, 1)
         assert summary.last_date == date(2019, 4, 2)
-
-    def test_counts_bad_prices(self):
-        recs = (
-            DailyRecord(date(2019, 1, 1), 100.0),
-            DailyRecord(date(2019, 1, 2), 0.0),
-            DailyRecord(date(2019, 1, 3), 100.0),
-        )
-        assert validate_series(series_from_records(recs)).bad_prices == 1
 
     def test_largest_single_day_move(self):
         recs = (

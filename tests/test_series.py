@@ -121,9 +121,8 @@ class TestLogSeries:
             assert abs(v - LN_1000) < 1e-12
 
     def test_nonpositive_price_raises(self):
-        s = series_from_closes([1.0, -1.0])
         with pytest.raises(NonPositivePrice):
-            log_series(s)
+            log_series(series_from_closes([1.0, -1.0]))
         with pytest.raises(NonPositivePrice):
             log_series(series_from_closes([1.0, 0.0]))
 

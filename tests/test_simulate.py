@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -18,7 +19,6 @@ from marketreg.estimators import (
 from marketreg.series import monthly_aggregates
 from marketreg.simulate import (
     GbmParams,
-    VolatilitySchedule,
     _ndtri,
     simulate_gbm,
     simulate_volume,
@@ -111,45 +111,31 @@ class TestGbmParams:
         with pytest.raises(ValueError):
             GbmParams(a=0.0, b=0.01, s0=1.0, n_days=10, seed=1, dt=0.0)
 
-    @pytest.mark.parametrize("field", ["a", "b", "s0", "dt"])
+    @pytest.mark.parametrize("b, b_end", [(0.005, 0.02), (0.02, -0.001)],
+                             ids=["above-b", "negative"])
+    def test_b_end_outside_0_to_b_is_refused(self, b, b_end):
+        with pytest.raises(ValueError, match=r"^b_end must lie in \[0, b\]$"):
+            GbmParams(a=0.0, b=b, s0=1.0, n_days=10, seed=1, b_end=b_end)
+
+    @pytest.mark.parametrize("field", ["a", "b", "s0", "dt", "b_end"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_is_named(self, field, value):
         kwargs = dict(a=0.0, b=0.01, s0=1.0, n_days=10, seed=1, dt=1.0)
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             GbmParams(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize("n_days", [1, 2, 3, 5500])
+    def test_b_end_equal_to_b_is_constant_volatility(self, n_days):
+        params = GbmParams(a=3e-4, b=0.012, s0=1000.0, n_days=n_days, seed=11)
+        constant = simulate_gbm(params).close
+        assert constant.tobytes() == simulate_gbm(replace(params, b_end=params.b)).close.tobytes()
 
-class TestVolatilitySchedule:
-    def test_constant_levels(self):
-        sched = VolatilitySchedule.constant(0.02)
-        assert np.all(sched.levels(5) == 0.02)
-
-    def test_decay_endpoints(self):
-        sched = VolatilitySchedule.linear_decay(0.02, 0.005)
-        levels = sched.levels(240)
-        assert levels[0] == pytest.approx(0.02)
-        assert levels[-1] == pytest.approx(0.005)
-        assert np.all(np.diff(levels) < 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            VolatilitySchedule("banana", 0.1)
-        with pytest.raises(ValueError):
-            VolatilitySchedule.linear_decay(0.005, 0.02)
-        with pytest.raises(ValueError):
-            VolatilitySchedule.linear_decay(0.02, -0.001)
-
-    @pytest.mark.parametrize("field", ["b_start", "b_end"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_level_is_named(self, field, value):
-        levels = {"b_start": 0.02, "b_end": 0.005, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
-            VolatilitySchedule("linear-decay", **levels)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_constant_level_is_refused(self, value):
-        with pytest.raises(ValueError, match="^b_start must be finite$"):
-            VolatilitySchedule.constant(value)
+    def test_b_end_declines_linearly_from_b(self):
+        # With a = 0, no redraws and dt = 1, close[k+1]/close[k] - 1 = b_k * dW_k.
+        params = GbmParams(a=0.0, b=0.02, s0=1000.0, n_days=240, seed=7, b_end=0.005)
+        close = simulate_gbm(params).close
+        b_levels = (close[1:] / close[:-1] - 1.0) / wiener_increments(239, 1.0, 7)
+        assert b_levels == pytest.approx(np.linspace(0.02, 0.005, 239), rel=1e-6)
 
 
 class TestSyntheticCalendar:
@@ -194,10 +180,9 @@ class TestSimulateGbm:
         assert abs(sigma - 1.5) <= 0.03 * 1.5
 
     def test_determinism(self):
-        params = GbmParams(a=3e-4, b=0.02, s0=100.0, n_days=300, seed=77)
-        sched = VolatilitySchedule.linear_decay(0.02, 0.001)
-        s1 = simulate_gbm(params, sched)
-        s2 = simulate_gbm(params, sched)
+        params = GbmParams(a=3e-4, b=0.02, s0=100.0, n_days=300, seed=77, b_end=0.001)
+        s1 = simulate_gbm(params)
+        s2 = simulate_gbm(params)
         assert s1 == s2
 
     def test_positivity_under_heavy_noise(self):
@@ -219,14 +204,14 @@ class TestSimulateGbm:
         assert [r.date for r in series.records] == synthetic_days(50).tolist()
 
 
-def _gbm_closes(params, schedule):
-    return simulate_gbm(params, schedule).close
+def _gbm_closes(params):
+    return simulate_gbm(params).close
 
 
-def _closes_or_error(simulate, params, schedule):
+def _closes_or_error(simulate, params):
     """The close bytes, or the type and message of the error raised instead."""
     try:
-        return simulate(params, schedule).tobytes()
+        return simulate(params).tobytes()
     except MarketRegError as error:
         return type(error), str(error)
 
@@ -237,7 +222,7 @@ STEP_LOOP_GRID = [
         (3e-4, 0.012, 1000.0, n_days, 11, dt, decay_to, "closes")
         for n_days in (1, 2, 5500)
         for dt in (1.0, 0.5)
-        for decay_to in (None, 0.004)
+        for decay_to in (None, 0.004, 0.0)
     ],
     pytest.param(0.0, 0.9, 1.0, 2000, 5, 1.0, None, "closes", id="redraws-from-step-4"),
     pytest.param(3e-4, 0.3, 1000.0, 5500, 14, 1.0, None, "closes", id="first-redraw-at-step-4901"),
@@ -255,10 +240,9 @@ class TestStepLoopReference:
 
     @pytest.mark.parametrize("a, b, s0, n_days, seed, dt, decay_to, ends_in", STEP_LOOP_GRID)
     def test_pinned_grid_matches_the_step_loop(self, a, b, s0, n_days, seed, dt, decay_to, ends_in):
-        params = GbmParams(a=a, b=b, s0=s0, n_days=n_days, seed=seed, dt=dt)
-        schedule = None if decay_to is None else VolatilitySchedule.linear_decay(b, decay_to)
-        expected = _closes_or_error(reference_simulate_gbm, params, schedule)
-        got = _closes_or_error(_gbm_closes, params, schedule)
+        params = GbmParams(a=a, b=b, s0=s0, n_days=n_days, seed=seed, dt=dt, b_end=decay_to)
+        expected = _closes_or_error(reference_simulate_gbm, params)
+        got = _closes_or_error(_gbm_closes, params)
         assert got == expected
         assert isinstance(got, bytes) if ends_in == "closes" else ends_in in got[1]
 
@@ -281,10 +265,10 @@ class TestStepLoopReference:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_parameters_match_the_step_loop(self, a, b, s0, n_days, seed, dt, decay):
-        params = GbmParams(a=a, b=b, s0=s0, n_days=n_days, seed=seed, dt=dt)
-        schedule = VolatilitySchedule.linear_decay(b, b / 4) if decay else None
-        expected = _closes_or_error(reference_simulate_gbm, params, schedule)
-        assert _closes_or_error(_gbm_closes, params, schedule) == expected
+        params = GbmParams(a=a, b=b, s0=s0, n_days=n_days, seed=seed, dt=dt,
+                           b_end=b / 4 if decay else None)
+        expected = _closes_or_error(reference_simulate_gbm, params)
+        assert _closes_or_error(_gbm_closes, params) == expected
 
 
 class TestSimulateVolume:
@@ -330,7 +314,7 @@ class TestSimulateVolume:
         # int64 cast wraps and a clamp at zero turns the counts into zeros.
         with pytest.raises(VolumeOverflow, match="day 74"):
             simulate_volume(4e-4, 1e6, 0.0, 100_000, seed=1)
-        with pytest.raises(VolumeOverflow):
+        with pytest.raises(ValueError, match="^nu must be finite$"):
             simulate_volume(float("nan"), 1e6, 0.0, 10, seed=1)
         assert simulate_volume(4e-4, 1e6, 0.0, 74_000, seed=1).min() == 1_000_000
 
@@ -339,7 +323,7 @@ class TestSimulateVolume:
         # numpy overflow warning would surface before VolumeOverflow.
         with pytest.raises(VolumeOverflow, match="at day 30 "):
             simulate_volume(1.0, 1e6, 0.0, 1000, seed=1)
-        with pytest.raises(VolumeOverflow, match="at day 0 "):
+        with pytest.raises(ValueError, match="^nu must be finite$"):
             simulate_volume(float("inf"), 1e6, 0.0, 10, seed=1)
 
     def test_noisy_recovery_within_three_stderr(self):
@@ -363,8 +347,9 @@ class TestEstimatorClosure:
         assert abs(rep.w) <= 3 * rep.diagnostics["variance_decline"].stderr_slope
 
     def test_declining_volatility_shows_negative_w(self):
-        params = GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=DECAY_SEED)
-        series = simulate_gbm(params, VolatilitySchedule.linear_decay(0.02, 0.005))
+        params = GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=DECAY_SEED,
+                           b_end=0.005)
+        series = simulate_gbm(params)
         rep = analyze_index(series)
         stderr = rep.diagnostics["variance_decline"].stderr_slope
         assert rep.w < 0
@@ -372,8 +357,9 @@ class TestEstimatorClosure:
 
     def test_monthly_dispersion_tracks_schedule(self):
         # Early months must be visibly more dispersed than late ones under decay.
-        params = GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=DECAY_SEED)
-        series = simulate_gbm(params, VolatilitySchedule.linear_decay(0.02, 0.005))
+        params = GbmParams(a=3e-4, b=0.02, s0=1000.0, n_days=240 * 21, seed=DECAY_SEED,
+                           b_end=0.005)
+        series = simulate_gbm(params)
         var_log = monthly_aggregates(series).var_log
         first_quarter = np.mean(var_log[:60])
         last_quarter = np.mean(var_log[-60:])
