@@ -182,14 +182,17 @@ class TestDailyGrowth:
 
 
 class TestNonFiniteCloses:
+    @pytest.mark.parametrize("t, day", [(0, "2019-01-01"), (30, "2019-02-10"), (62, "2019-03-21")],
+                             ids=["first", "middle", "last"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    def test_series_refuses_it_with_a_named_error(self, bad):
+    def test_series_refuses_it_with_a_named_error(self, bad, t, day):
         # Infinite and NaN closes are NonFinitePrice, zero and negative ones
-        # NonPositivePrice; either way the message names the day.
+        # NonPositivePrice; either way the message names the day, on the
+        # first day, within the series and on the last day alike.
         closes = [100.0 * 1.001**k for k in range(63)]
-        closes[30] = bad
+        closes[t] = bad
         error = NonFinitePrice if not math.isfinite(bad) else NonPositivePrice
-        with pytest.raises(error, match=rf"^close at t=30 \(2019-02-10\) is {bad}$"):
+        with pytest.raises(error, match=rf"^close at t={t} \({day}\) is {bad}$"):
             series_from_closes(closes)
 
     @pytest.mark.parametrize("closes, error, day", [
