@@ -9,6 +9,7 @@ change past float64, and two inputs whose plot files would share a name),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import pickle
 import sys
@@ -103,10 +104,16 @@ def _in_processes(work, items: list, n: int) -> list:
     return [shares[i % n][i // n] for i in range(len(items))]
 
 
+# The report fields that only the plot files read.
+_PLOT_ARRAYS = ("ln_close", "fluctuations", "histogram", "monthly", "volume_t", "ln_volume")
+
+
 def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Namespace) -> tuple:
     """(index name, length, report) of one input. On an error the report's
     place holds the exception, and a parse error also leaves the name and
-    length None, so that the caller can raise errors in input order."""
+    length None, so that the caller can raise errors in input order.
+    Without ``--plots`` the report's plot arrays are None, so that a worker
+    does not send them back."""
     try:
         series = parse_daily_path(path, ingest_config)
     except Exception as exc:
@@ -115,6 +122,8 @@ def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Names
         report = analyze_index(
             series, bin_width=args.bin_width, variance_fit_mode=args.variance_fit
         )
+        if not args.plots:
+            report = dataclasses.replace(report, **dict.fromkeys(_PLOT_ARRAYS))
     except Exception as exc:
         report = exc
     return series.index_name, len(series), report

@@ -31,8 +31,6 @@ from .series import (
     DailySeries,
     MonthlyTable,
     _close_at,
-    log_series,
-    log_volumes,
     monthly_aggregates,
     read_only,
 )
@@ -141,7 +139,6 @@ class RegularityReport:
     n_months: int
     bin_width: float
     variance_fit_mode: str
-    gaussian: GaussianOffsetFit | None = None
     diagnostics: dict[str, FitResult] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
     ln_close: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -221,7 +218,7 @@ def fit_daily_growth(series: DailySeries) -> tuple[float, FitResult]:
     Fits ln(close) against the trading-day index; the slope times 100 is the
     growth rate. Exact exponential input is recovered exactly.
     """
-    ln_close = log_series(series)
+    ln_close = series.ln_close
     fit = linear_least_squares(np.arange(len(ln_close), dtype=float), ln_close)
     return 100.0 * fit.slope, fit
 
@@ -350,7 +347,7 @@ def fit_volume_growth(series: DailySeries) -> tuple[float, FitResult]:
     Only records with a positive volume enter the fit; their x coordinate is
     the trading-day index in the full series.
     """
-    t, ln_volume = log_volumes(series)
+    t, ln_volume = series.log_volumes
     if len(t) < 2:
         raise NoVolumeData("fewer than 2 records with positive volume")
     fit = linear_least_squares(t, ln_volume)
@@ -401,16 +398,13 @@ def analyze_index(
         "variance_decline": fit_w,
     }
 
-    gaussian: GaussianOffsetFit | None = None
     f0: float | None = None
     histogram = build_histogram(fluct, bin_width)
     try:
-        gaussian = fit_gaussian_offset(histogram, mu, sigma)
-        f0 = gaussian.f0
+        f0 = fit_gaussian_offset(histogram, mu, sigma).f0
     except (DegenerateFit, InsufficientData) as exc:
         errors["f0"] = str(exc)
 
-    volume_t, ln_volume = log_volumes(series)
     nu: float | None = None
     try:
         nu, fit_nu = fit_volume_growth(series)
@@ -434,13 +428,12 @@ def analyze_index(
         n_months=len(monthly),
         bin_width=bin_width,
         variance_fit_mode=variance_fit_mode,
-        gaussian=gaussian,
         diagnostics=diagnostics,
         errors=errors,
-        ln_close=log_series(series),
+        ln_close=series.ln_close,
         fluctuations=fluct,
         histogram=histogram,
         monthly=monthly,
-        volume_t=volume_t,
-        ln_volume=ln_volume,
+        volume_t=series.log_volumes[0],
+        ln_volume=series.log_volumes[1],
     )

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateDate, EmptySeries, MalformedRow, UnknownColumn
+from .estimators import daily_fluctuations
 from .series import DailySeries, day_column
 
 DEFAULT_VOLUME_COLUMN = "Volume"
@@ -388,14 +389,13 @@ def write_daily_file(series: DailySeries, dest) -> None:
 
 def validate_series(series: DailySeries) -> ValidationSummary:
     """Report record count, date span, missing volumes and the largest
-    single-day percentage move. Every close is finite and positive, since
-    ``DailySeries`` refuses any other."""
-    prev, cur = series.close[:-1], series.close[1:]
-    deltas = np.abs(100.0 * (cur - prev) / prev)
+    single-day percentage move, None for a one-row series. Every close is
+    finite and positive, since ``DailySeries`` refuses any other; a move past
+    float64 raises FluctuationOverflow, as ``daily_fluctuations`` does."""
     return ValidationSummary(
         n=len(series),
         first_date=series.dates[0].item(),
         last_date=series.dates[-1].item(),
         missing_volumes=int(np.count_nonzero(~series.volume_mask)),
-        max_abs_delta=float(deltas.max()) if deltas.size else None,
+        max_abs_delta=float(np.abs(daily_fluctuations(series)).max()) if len(series) > 1 else None,
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData, PlotNameCollision
-from .estimators import RegularityReport, pearson_correlation
+from .estimators import GaussianOffsetFit, RegularityReport, pearson_correlation
 from .ingest import format_rows
 
 # Unused here: perfbench/layers.py wraps these names as boundaries of this module.
@@ -159,106 +159,60 @@ def write_plot_files(report: RegularityReport, out_dir: Path) -> list[Path]:
     whose slope equals the corresponding report field exactly. The volume
     file is written only when the series has usable volume data.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = _safe_name(report.index_name)
-    written: list[Path] = []
-
     t = np.arange(report.n_records)
-    fit_a = report.diagnostics["daily_growth"]
-    path = out_dir / f"{stem}_daily_log_price.tsv"
-    _write_tsv(
-        path,
-        [
-            f"index: {report.index_name}",
-            "x: trading day t (days); y: ln(close), dimensionless",
-            f"fit: ln_close = intercept + slope*t; slope_pct_per_day = {report.a!r}",
-            f"slope = {fit_a.slope!r}; intercept = {fit_a.intercept!r}",
-        ],
-        ["t_days", "ln_close", "fit_ln_close"],
-        [t, report.ln_close, fit_a.predict(t)],
-    )
-    written.append(path)
-
-    td = np.arange(1, report.n_records)
-    path = out_dir / f"{stem}_fluctuation_series.tsv"
-    _write_tsv(
-        path,
-        [
-            f"index: {report.index_name}",
-            "x: trading day t (days); y: daily percentage fluctuation delta (percent)",
-            f"mean_pct = {report.mu!r}",
-        ],
-        ["t_days", "delta_pct", "mean_pct"],
-        [td, report.fluctuations, str(report.mu)],
-    )
-    written.append(path)
-
-    hist = report.histogram
+    diag = report.diagnostics
+    fit_a, fit_m, fit_w = diag["daily_growth"], diag["monthly_growth"], diag["variance_decline"]
+    hist, monthly = report.histogram, report.monthly
     centers = hist.centers()
-    if report.gaussian is not None:
-        model = report.gaussian.evaluate(centers)
+    if report.f0 is not None:
+        model = GaussianOffsetFit(report.mu, report.sigma, report.f0).evaluate(centers)
         model_note = f"model: f(delta) = 1 + f0*exp(-(delta-mu)^2/(2 sigma^2)); f0 = {report.f0!r}"
     else:
         model = ""
         model_note = "model: amplitude fit unavailable (" + report.errors.get("f0", "") + ")"
-    path = out_dir / f"{stem}_fluctuation_histogram.tsv"
-    _write_tsv(
-        path,
-        [
-            f"index: {report.index_name}",
-            "x: fluctuation delta bin center (percent); y: unnormalized frequency count",
-            f"bin_width_pct = {report.bin_width!r}",
-            model_note,
-        ],
-        ["delta_center_pct", "count", "model_count"],
-        [centers, hist.counts.astype(np.int64), model],
-    )
-    written.append(path)
+    # One entry per file: name suffix, comment lines after "index:", header, columns.
+    views = [
+        ("daily_log_price",
+         ["x: trading day t (days); y: ln(close), dimensionless",
+          f"fit: ln_close = intercept + slope*t; slope_pct_per_day = {report.a!r}",
+          f"slope = {fit_a.slope!r}; intercept = {fit_a.intercept!r}"],
+         ["t_days", "ln_close", "fit_ln_close"], [t, report.ln_close, fit_a.predict(t)]),
+        ("fluctuation_series",
+         ["x: trading day t (days); y: daily percentage fluctuation delta (percent)",
+          f"mean_pct = {report.mu!r}"],
+         ["t_days", "delta_pct", "mean_pct"], [t[1:], report.fluctuations, str(report.mu)]),
+        ("fluctuation_histogram",
+         ["x: fluctuation delta bin center (percent); y: unnormalized frequency count",
+          f"bin_width_pct = {report.bin_width!r}", model_note],
+         ["delta_center_pct", "count", "model_count"],
+         [centers, hist.counts.astype(np.int64), model]),
+        ("monthly_mean_log",
+         ["x: month index tau (months); y: monthly mean of ln(close)",
+          f"fit: mean_log = intercept + slope*tau; slope_per_month = {report.m!r}"],
+         ["tau_months", "mean_log", "fit_mean_log"],
+         [monthly.tau, monthly.mean_log, fit_m.predict(monthly.tau)]),
+        ("monthly_variance",
+         ["x: month index tau (months); y: within-month variance of ln(close)",
+          f"fit: var_log = intercept + slope*tau; slope_per_month = {report.w!r}",
+          f"spike: tau = {report.spike_tau}, var_log = {report.spike_value!r}"],
+         ["tau_months", "var_log", "fit_var_log"],
+         [monthly.tau, monthly.var_log, fit_w.predict(monthly.tau)]),
+    ]
+    if "volume_growth" in diag:
+        fit_v = diag["volume_growth"]
+        views.append(
+            ("daily_log_volume",
+             ["x: trading day t (days); y: ln(daily traded volume)",
+              f"fit: ln_volume = intercept + slope*t; slope_pct_per_day = {report.nu!r}"],
+             ["t_days", "ln_volume", "fit_ln_volume"],
+             [report.volume_t, report.ln_volume, fit_v.predict(report.volume_t)]))
 
-    monthly = report.monthly
-    fit_m = report.diagnostics["monthly_growth"]
-    path = out_dir / f"{stem}_monthly_mean_log.tsv"
-    _write_tsv(
-        path,
-        [
-            f"index: {report.index_name}",
-            "x: month index tau (months); y: monthly mean of ln(close)",
-            f"fit: mean_log = intercept + slope*tau; slope_per_month = {report.m!r}",
-        ],
-        ["tau_months", "mean_log", "fit_mean_log"],
-        [monthly.tau, monthly.mean_log, fit_m.predict(monthly.tau)],
-    )
-    written.append(path)
-
-    fit_w = report.diagnostics["variance_decline"]
-    path = out_dir / f"{stem}_monthly_variance.tsv"
-    _write_tsv(
-        path,
-        [
-            f"index: {report.index_name}",
-            "x: month index tau (months); y: within-month variance of ln(close)",
-            f"fit: var_log = intercept + slope*tau; slope_per_month = {report.w!r}",
-            f"spike: tau = {report.spike_tau}, var_log = {report.spike_value!r}",
-        ],
-        ["tau_months", "var_log", "fit_var_log"],
-        [monthly.tau, monthly.var_log, fit_w.predict(monthly.tau)],
-    )
-    written.append(path)
-
-    if "volume_growth" in report.diagnostics:
-        fit_v = report.diagnostics["volume_growth"]
-        path = out_dir / f"{stem}_daily_log_volume.tsv"
-        _write_tsv(
-            path,
-            [
-                f"index: {report.index_name}",
-                "x: trading day t (days); y: ln(daily traded volume)",
-                f"fit: ln_volume = intercept + slope*t; slope_pct_per_day = {report.nu!r}",
-            ],
-            ["t_days", "ln_volume", "fit_ln_volume"],
-            [report.volume_t, report.ln_volume, fit_v.predict(report.volume_t)],
-        )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = _safe_name(report.index_name)
+    written = []
+    for suffix, comments, header, columns in views:
+        path = out_dir / f"{stem}_{suffix}.tsv"
+        _write_tsv(path, [f"index: {report.index_name}", *comments], header, columns)
         written.append(path)
-
     return written

@@ -8,6 +8,7 @@ give a usable dispersion estimate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from datetime import date as Date
 
@@ -64,6 +65,7 @@ class DailySeries:
 
     ``volume`` is the column of counts. ``volume_mask`` defaults to every day
     reported when ``volume`` is given, and to no day when it is not.
+    ``ln_close`` and ``log_volumes`` are computed on first use and kept.
     """
 
     dates: np.ndarray
@@ -132,6 +134,20 @@ class DailySeries:
         """Copy of the series with ``volume`` as its counts, every day reported."""
         return DailySeries(self.dates, self.close, volume, self.index_name)
 
+    # The frozen dataclass has no slots, so cached_property can keep each
+    # column in the instance __dict__ on first use.
+    @functools.cached_property
+    def ln_close(self) -> np.ndarray:
+        """``log_series(self)``, computed on first use and kept."""
+        return log_series(self)
+
+    @functools.cached_property
+    def log_volumes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Trading-day index and natural log of every reported positive volume,
+        read-only, computed on first use and kept."""
+        t = np.flatnonzero(self.volume_mask & (self.volume > 0))
+        return read_only(t), read_only(np.log(self.volume[t].astype(float)))
+
 
 @dataclass(frozen=True, eq=False)
 class MonthlyTable:
@@ -182,12 +198,6 @@ def log_series(series: DailySeries) -> np.ndarray:
     return read_only(np.log(series.close))
 
 
-def log_volumes(series: DailySeries) -> tuple[np.ndarray, np.ndarray]:
-    """Trading-day index and natural log of every reported positive volume, read-only."""
-    t = np.flatnonzero(series.volume_mask & (series.volume > 0))
-    return read_only(t), read_only(np.log(series.volume[t].astype(float)))
-
-
 def monthly_aggregates(series: DailySeries, min_days: int = MIN_DAYS_PER_MONTH) -> MonthlyTable:
     """Aggregate ln(close) by calendar month.
 
@@ -201,7 +211,7 @@ def monthly_aggregates(series: DailySeries, min_days: int = MIN_DAYS_PER_MONTH) 
     """
     if len(series) < 2:
         raise InsufficientData("need at least 2 records to aggregate monthly")
-    ln_close = log_series(series)
+    ln_close = series.ln_close
     # Months since 1970-01.
     months = series.dates.astype("datetime64[M]").astype(np.int64)
     keys, group, n_days = np.unique(months, return_inverse=True, return_counts=True)

@@ -16,7 +16,7 @@ from marketreg import cli, estimators, report, series
 from marketreg.cli import main
 from marketreg.errors import MarketRegError
 from marketreg.estimators import analyze_index
-from marketreg.ingest import parse_daily_path
+from marketreg.ingest import IngestConfig, parse_daily_path
 from marketreg.report import (
     _display,
     render_report_json,
@@ -196,6 +196,19 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(path), "--out", str(out_dir), "--plots"]) == 0
         plots = list((out_dir / "plots").glob("*.tsv"))
         assert len(plots) == 6
+
+    def test_without_plots_the_report_keeps_no_plot_arrays(self, tmp_path):
+        # A worker sends its reports back through a pipe; without --plots
+        # nothing reads the arrays, so they are not sent.
+        path = simulate_file(tmp_path)
+        reports = {}
+        for flags in ([], ["--plots"]):
+            args = cli.build_parser().parse_args(["analyze", "--input", str(path), *flags])
+            _, _, reports[bool(flags)] = cli._analyze_input(path, IngestConfig(), args)
+        arrays = ["ln_close", "fluctuations", "histogram", "monthly", "volume_t", "ln_volume"]
+        assert all(getattr(reports[False], name) is None for name in arrays)
+        assert all(getattr(reports[True], name) is not None for name in arrays)
+        assert report_payload([reports[False]]) == report_payload([reports[True]])
 
     def test_missing_file_exits_2_without_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -468,8 +481,9 @@ class TestWorkerProcesses:
         monkeypatch.setattr(cli, "analyze_index", per_process(cli.analyze_index, end))
         force_cpus(monkeypatch, 3)
         out_dir = tmp_path / "out"
+        # With --plots the child sends analyze_index's result back as it is.
         with pytest.raises(ChildProcessError, match=rf"ended without a result \(exit status {status}\)"):
-            main(["analyze", "--input", *map(str, paths), "--out", str(out_dir)])
+            main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
         assert not out_dir.exists()
 
     @needs_fork

@@ -576,6 +576,26 @@ class TestAnalyzeIndex:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[-1]
 
+    def test_each_log_is_computed_once_per_series(self, monkeypatch):
+        series = simulate_gbm(GbmParams(a=3e-4, b=0.01, s0=1000.0, n_days=2100, seed=9))
+        series = series.with_volumes(simulate_volume(4e-4, 1e6, 0.1, 2100, 10))
+        volumes = series.volume.astype(float)
+        calls = {"close": 0, "volume": 0}
+        real_log = np.log
+
+        def counting_log(x, *args, **kwargs):
+            if x is series.close:
+                calls["close"] += 1
+            elif np.array_equal(x, volumes):
+                calls["volume"] += 1
+            return real_log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counting_log)
+        analyze_index(series)
+        assert calls == {"close": 1, "volume": 1}
+        analyze_index(series)
+        assert calls == {"close": 1, "volume": 1}
+
     def test_monthly_variance_is_python_pow_of_std(self):
         # float(s) ** 2 calls libm pow; numpy's s**2 and s*s multiply, which
         # rounds differently in the last bit for about 1 value in 1,000.

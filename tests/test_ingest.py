@@ -10,6 +10,7 @@ from marketreg import ingest
 from marketreg.errors import (
     DuplicateDate,
     EmptySeries,
+    FluctuationOverflow,
     MalformedRow,
     MarketRegError,
     UnknownColumn,
@@ -263,6 +264,11 @@ class TestValidate:
     def test_single_record_has_no_delta(self):
         recs = (DailyRecord(date(2019, 1, 1), 100.0),)
         assert validate_series(series_from_records(recs)).max_abs_delta is None
+
+    def test_move_past_float64_is_named(self):
+        recs = (DailyRecord(date(2019, 1, 1), 1e-300), DailyRecord(date(2019, 1, 2), 1e300))
+        with pytest.raises(FluctuationOverflow, match=r"t=0 \(2019-01-01\).*t=1 \(2019-01-02\)"):
+            validate_series(series_from_records(recs))
 
     def test_missing_volume_count(self):
         s = parse_daily_file("Date,Close,Volume\n2019-04-01,1,\n2019-04-02,1,5\n")

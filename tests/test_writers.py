@@ -91,7 +91,7 @@ class TestSameBytesAsRowByRow:
 
     def test_amplitude_fit_unavailable(self, tmp_path, monkeypatch):
         series = exponential_series(0.0005, 600)
-        assert analyze_index(series).gaussian is None
+        assert analyze_index(series).f0 is None
         block, reference = plot_bytes(series, tmp_path, monkeypatch)
         assert block == reference
         histogram = rows(block["exp_fluctuation_histogram.tsv"])
