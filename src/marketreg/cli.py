@@ -46,16 +46,20 @@ def _process_count(n_inputs: int) -> int:
     return min(n_inputs, cpus)
 
 
-def _in_processes(work, items: list, n: int) -> list:
-    """``[work(item) for item in items]``, with ``items[k::n]`` run in a forked
-    child for each k >= 1 and ``items[0::n]`` in this process.
+def _outcome(work, item):
+    """``work(item)``, or the exception it raised."""
+    try:
+        return work(item)
+    except Exception as exc:
+        return exc
 
-    An exception raised in a child's share is raised here, after every child
-    has been reaped; a child that ends without a result raises
-    ChildProcessError naming its exit status.
+
+def _in_processes(work, items: list, n: int) -> list:
+    """``work(item)``, or the exception it raised, for each item in order,
+    with ``items[k::n]`` run in a forked child for each k >= 1 and
+    ``items[0::n]`` in this process. A child that ends without a result
+    raises ChildProcessError naming its exit status, once all are reaped.
     """
-    if n == 1:
-        return [work(item) for item in items]
     pipes = {}  # child pid -> read end of the pipe its result comes through
     try:
         for k in range(1, n):
@@ -74,10 +78,7 @@ def _in_processes(work, items: list, n: int) -> list:
                     os.close(r)
                     for fh in pipes.values():
                         fh.close()
-                    try:
-                        result = [work(item) for item in items[k::n]]
-                    except Exception as exc:
-                        result = exc
+                    result = [_outcome(work, item) for item in items[k::n]]
                     with open(w, "wb") as out:  # protocol 5 keeps arrays read-only
                         pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
                     code = 0
@@ -85,7 +86,7 @@ def _in_processes(work, items: list, n: int) -> list:
                     os._exit(code)
             os.close(w)
             pipes[pid] = open(r, "rb")
-        shares = [[work(item) for item in items[0::n]]]
+        shares = [[_outcome(work, item) for item in items[0::n]]]
         data = [fh.read() for fh in pipes.values()]
     finally:
         # Closing a read end first lets a child still writing fail instead of
@@ -97,11 +98,22 @@ def _in_processes(work, items: list, n: int) -> list:
         if code != 0:
             raise ChildProcessError(f"worker process {pid} ended without a result "
                                     f"(exit status {code})")
-    for blob in data:
-        shares.append(pickle.loads(blob))
-        if isinstance(shares[-1], Exception):
-            raise shares[-1]
+    shares += [pickle.loads(blob) for blob in data]
     return [shares[i % n][i // n] for i in range(len(items))]
+
+
+def _checked(source, outcome):
+    """``outcome``, unless it is an exception: an OSError exits 2 and a
+    MarketRegError with its own status, each naming ``source``; any other
+    exception is raised."""
+    if isinstance(outcome, OSError):
+        reason = "file not found" if isinstance(outcome, FileNotFoundError) else outcome.strerror
+        raise _CliFailure(EXIT_INPUT, f"{source}: {reason}") from None
+    if isinstance(outcome, MarketRegError):
+        raise _CliFailure(outcome.exit_code, f"{source}: {outcome}") from None
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # The report fields that only the plot files read.
@@ -109,15 +121,11 @@ _PLOT_ARRAYS = ("ln_close", "fluctuations", "histogram", "monthly", "volume_t", 
 
 
 def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Namespace) -> tuple:
-    """(index name, length, report) of one input. On an error the report's
-    place holds the exception, and a parse error also leaves the name and
-    length None, so that the caller can raise errors in input order.
-    Without ``--plots`` the report's plot arrays are None, so that a worker
-    does not send them back."""
-    try:
-        series = parse_daily_path(path, ingest_config)
-    except Exception as exc:
-        return None, None, exc
+    """(index name, length, report) of one input. A parse error is raised and
+    an analysis error takes the report's place, so that the caller can raise
+    errors in input order. Without ``--plots`` the report's plot arrays are
+    None, so that a worker does not send them back."""
+    series = parse_daily_path(path, ingest_config)
     try:
         report = analyze_index(
             series, bin_width=args.bin_width, variance_fit_mode=args.variance_fit
@@ -148,14 +156,8 @@ def run_analyze(args: argparse.Namespace) -> int:
     n = _process_count(len(args.input))
     outcomes = _in_processes(lambda path: _analyze_input(path, ingest_config, args), args.input, n)
 
-    for path, (name, _, error) in zip(args.input, outcomes):
-        if name is None:
-            if isinstance(error, OSError):
-                reason = "file not found" if isinstance(error, FileNotFoundError) else error.strerror
-                raise _CliFailure(EXIT_INPUT, f"{path}: {reason}") from None
-            if isinstance(error, MarketRegError):
-                raise _CliFailure(error.exit_code, f"{path}: {error}") from None
-            raise error
+    for path, outcome in zip(args.input, outcomes):
+        _checked(path, outcome)
 
     for name, length, _ in outcomes:
         if length < SHORT_SERIES_WARNING:
@@ -168,12 +170,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     if args.plots:
         check_plot_stems(args.input, [name for name, _, _ in outcomes])
 
-    for name, _, report in outcomes:
-        if isinstance(report, MarketRegError):
-            raise _CliFailure(report.exit_code, f"{name}: {report}") from None
-        if isinstance(report, Exception):
-            raise report
-    reports = [report for _, _, report in outcomes]
+    reports = [_checked(name, report) for name, _, report in outcomes]
 
     payload = report_payload(reports)
     plots_dir = args.out / "plots"
@@ -182,11 +179,15 @@ def run_analyze(args: argparse.Namespace) -> int:
         if args.plots:
             plots_dir.mkdir(exist_ok=True)
     except OSError as exc:
-        raise _CliFailure(EXIT_INPUT, f"{exc.filename}: {exc.strerror}") from None
+        _checked(exc.filename, exc)
     if args.plots:
-        _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n)
+        for written in _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n):
+            _checked(getattr(written, "filename", None) or plots_dir, written)
     report_path = args.out / "report.json"
-    write_report_atomic(payload, report_path)
+    try:
+        write_report_atomic(payload, report_path)
+    except OSError as exc:
+        _checked(report_path, exc)
 
     header = f"{'index':<20} {'a':>10} {'mu':>8} {'sigma':>8} {'m':>8} {'w':>10} {'nu':>8}"
     print(header)
@@ -234,9 +235,8 @@ def run_selftest_command(args: argparse.Namespace) -> int:
 
 
 class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
+    def __init__(self, exit_code: int, message: str):
+        self.exit_code = exit_code
         super().__init__(message)
 
 
@@ -296,15 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return run_simulate(args)
         return run_selftest_command(args)
-    except _CliFailure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (_CliFailure, MarketRegError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MarketRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", EXIT_INPUT)  # a ValueError is bad input
 
 
 def entrypoint() -> None:

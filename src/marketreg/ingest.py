@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DuplicateDate, EmptySeries, MalformedRow, UnknownColumn
 from .estimators import daily_fluctuations
-from .series import DailySeries, day_column
+from .series import DailySeries
 
 DEFAULT_VOLUME_COLUMN = "Volume"
 ISO_DATE_FORMAT = "%Y-%m-%d"
@@ -158,15 +158,28 @@ def parse_daily_file(
 
     Plain files in the default dialect are converted a column at a time;
     every other input, and any file that fails a column check, goes through
-    the row loop, which accepts the same inputs and raises every error.
+    the row loop, which accepts the same inputs and raises every cell error.
+    Either way, ``_in_date_order`` then sorts the rows and refuses a repeat.
     """
     config = config or IngestConfig()
     text = _as_text(source)
-    columns = _parse_columns(text, config)
-    if columns is None:
-        return _parse_rows(text, config, index_name)
-    dates, close, volume, volume_mask = columns
+    columns = _parse_columns(text, config) or _parse_rows(text, config)
+    dates, close, volume, volume_mask = _in_date_order(*columns)
     return DailySeries(dates, close, volume, index_name, volume_mask)
+
+
+def _in_date_order(dates: np.ndarray, *columns: np.ndarray) -> tuple:
+    """``dates`` and the ``columns`` read beside them, sorted stably by date
+    when the dates are not already increasing. Raises DuplicateDate naming
+    the first date, in date order, that appears twice."""
+    if np.all(dates[1:] > dates[:-1]):
+        return dates, *columns
+    order = np.argsort(dates, kind="stable")
+    dates = dates[order]
+    repeated = np.flatnonzero(dates[1:] == dates[:-1])
+    if repeated.size:
+        raise DuplicateDate(dates[repeated[0]].item())
+    return dates, *(column[order] for column in columns)
 
 
 # Characters that make csv.reader read a line differently from a plain split
@@ -176,15 +189,15 @@ _BLOCK_CHARS = 1 << 18  # about 8,000 lines of a Date,Close,Volume file
 
 
 def _parse_columns(text: str, config: IngestConfig):
-    """Columns (dates, close, volume, volume_mask) of a plain file, or None.
+    """Columns (dates, close, volume, volume_mask) of a plain file in file order, or None.
 
     The file must be ASCII comma-separated text with an ISO date format and
     no quotes, NUL characters or carriage returns other than CRLF line
-    endings, which are read as LF; its first line is the
-    header and every data line has exactly the header's number of cells. The
-    body is read in blocks of whole lines: dates must be exactly YYYY-MM-DD,
-    closes go through ``float`` and volumes through ``int`` over each block's
-    cells, and every check the row loop makes is an array operation. None
+    endings, which are read as LF; its first line is the header and every
+    data line has exactly the header's number of cells. The body is read in
+    blocks of whole lines: dates shaped exactly YYYY-MM-DD, year 0001 on, go
+    through numpy's ISO parser, closes through ``float`` and volumes through
+    ``int``, and every check the row loop makes is an array operation. None
     means the row loop must read the file; it then raises whatever error it
     would raise anyway.
     """
@@ -217,13 +230,7 @@ def _parse_columns(text: str, config: IngestConfig):
         start = end + 1
     if not blocks:
         return None
-    dates, close, volume, volume_mask = (np.concatenate(column) for column in zip(*blocks))
-    if not np.all(dates[1:] > dates[:-1]):
-        order = np.argsort(dates, kind="stable")
-        dates, close, volume, volume_mask = (c[order] for c in (dates, close, volume, volume_mask))
-        if np.any(dates[1:] == dates[:-1]):
-            return None
-    return dates, close, volume, volume_mask
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _parse_block(block: str, n_cols: int, date_idx: int, price_idx: int, volume_idx):
@@ -246,19 +253,12 @@ def _parse_block(block: str, n_cols: int, date_idx: int, price_idx: int, volume_
     digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]] - np.uint8(ord("0"))
     if np.any(digits > 9) or np.any(chars[:, [4, 7]] != ord("-")):
         return None
-    digits = digits.astype(np.int64)
-    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
-    month = digits[:, 4] * 10 + digits[:, 5]
-    day = digits[:, 6] * 10 + digits[:, 7]
-    if np.any(year < 1) or np.any((month < 1) | (month > 12)):
-        return None
-    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    dates = months.astype("datetime64[D]") + (day - 1)
-    if np.any(dates.astype("datetime64[M]") != months):
-        return None  # day 00, or a day past the end of its month
+    if not digits[:, :4].any(axis=1).all():
+        return None  # year 0000, which numpy reads and Python's date cannot hold
 
     cells = block.replace("\n", ",").split(",")
     try:
+        dates = np.array(cells[date_idx::n_cols], dtype="datetime64[D]")
         close = np.fromiter(map(float, cells[price_idx::n_cols]), dtype=float, count=n_rows)
         volume = np.zeros(n_rows, dtype=np.int64)
         if volume_idx is None:
@@ -275,12 +275,12 @@ def _parse_block(block: str, n_cols: int, date_idx: int, price_idx: int, volume_
     return dates, close, volume, volume_mask
 
 
-def _parse_rows(text: str, config: IngestConfig, index_name: str) -> DailySeries:
-    """``parse_daily_file`` one csv row at a time: every dialect, every error."""
+def _parse_rows(text: str, config: IngestConfig) -> tuple:
+    """Columns of any file in file order, one csv row at a time: every dialect, every cell error."""
     reader = csv.reader(io.StringIO(text), delimiter=config.delimiter)
 
     header: list[str] | None = None
-    ordinals, closes, volumes, volume_mask = [], [], [], []
+    dates, closes, volumes, volume_mask = [], [], [], []
     try:
         for row in reader:
             cells = [cell.strip() for cell in row]
@@ -298,7 +298,7 @@ def _parse_rows(text: str, config: IngestConfig, index_name: str) -> DailySeries
                     line_no, f"expected at least {needed + 1} fields, got {len(cells)}"
                 )
             try:
-                ordinals.append(_parse_date(cells[date_idx], config.date_format).toordinal())
+                dates.append(_parse_date(cells[date_idx], config.date_format))
             except ValueError:
                 raise MalformedRow(line_no, f"unparseable date {cells[date_idx]!r}") from None
             closes.append(_parse_price(cells[price_idx], config, line_no))
@@ -308,20 +308,10 @@ def _parse_rows(text: str, config: IngestConfig, index_name: str) -> DailySeries
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, f"csv error: {exc}") from None
 
-    if header is None or not ordinals:
+    if header is None or not dates:
         raise EmptySeries("no data rows found")
-
-    dates = day_column(ordinals)
-    order = np.argsort(dates, kind="stable")
-    dates = dates[order]
-    repeated = np.flatnonzero(dates[1:] == dates[:-1])
-    if repeated.size:
-        raise DuplicateDate(dates[repeated[0]].item())
-
-    return DailySeries(
-        dates, np.array(closes)[order], np.array(volumes, dtype=np.int64)[order], index_name,
-        np.array(volume_mask)[order],
-    )
+    return (np.array(dates, dtype="datetime64[D]"), np.array(closes),
+            np.array(volumes, dtype=np.int64), np.array(volume_mask))
 
 
 def parse_daily_path(

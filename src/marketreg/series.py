@@ -38,8 +38,6 @@ class DailyRecord:
             raise ValueError(f"volume must be >= 0, got {self.volume}")
 
 
-# date.toordinal() counts days from 0001-01-01, datetime64[D] from 1970-01-01.
-_EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()
 _DAY_RANGE = np.array([Date.min, Date.max], dtype="datetime64[D]")
 
 
@@ -47,11 +45,6 @@ def read_only(array: np.ndarray) -> np.ndarray:
     """``array`` with its writeable flag cleared."""
     array.flags.writeable = False
     return array
-
-
-def day_column(ordinals) -> np.ndarray:
-    """``datetime64[D]`` column of the dates with the given ``toordinal()`` values."""
-    return (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
 
 
 @dataclass(frozen=True, init=False, eq=False)

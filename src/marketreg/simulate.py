@@ -132,6 +132,13 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The PCG64 generator of ``seed``; a negative seed raises ValueError."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     # Inverse-CDF over the generator's 53-bit uniforms; the clamp only guards
     # the measure-zero u == 0 draw.
@@ -147,7 +154,7 @@ def wiener_increments(n: int, dt: float = 1.0, seed: int = 0) -> np.ndarray:
         raise ValueError("n must be >= 1")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     return _standard_normals(rng, n) * math.sqrt(dt)
 
 
@@ -171,7 +178,7 @@ def simulate_gbm(params: GbmParams, index_name: str = "simulated") -> DailySerie
     NonFinitePrice.
     """
     n_steps = params.n_days - 1
-    rng = np.random.default_rng(params.seed)
+    rng = _generator(params.seed)
     sqrt_dt = math.sqrt(params.dt)
     b_end = params.b if params.b_end is None else params.b_end
     b_levels = np.linspace(params.b, b_end, n_steps)
@@ -227,7 +234,7 @@ def simulate_volume(
         raise ValueError("noise_sd must be finite and >= 0")
     if n_days < 1:
         raise ValueError("n_days must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     eta = _standard_normals(rng, n_days) * noise_sd if noise_sd > 0 else np.zeros(n_days)
     # A count past float64 is caught below as past int64, so its warning is noise.
     with np.errstate(over="ignore", invalid="ignore"):

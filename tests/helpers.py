@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from marketreg.errors import NonFinitePrice, PathRejectionLimit
-from marketreg.series import DailySeries, day_column
+from marketreg.series import DailySeries
 from marketreg.simulate import REDRAW_LIMIT, GbmParams, _standard_normals
 
 
@@ -43,7 +43,7 @@ def series_from_records(records, name: str = "unnamed") -> DailySeries:
     """DailySeries of DailyRecord values, one row per record in order."""
     records = list(records)
     return DailySeries(
-        day_column([r.date.toordinal() for r in records]),
+        np.array([r.date for r in records], dtype="datetime64[D]"),
         [r.close for r in records],
         index_name=name,
         **volume_columns([r.volume for r in records]),

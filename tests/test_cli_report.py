@@ -456,7 +456,8 @@ class TestWorkerProcesses:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["plots"]
 
     @needs_fork
-    def test_an_error_in_a_childs_plot_share_reaches_the_parent(self, tmp_path, monkeypatch):
+    def test_an_error_in_a_childs_plot_share_reaches_the_parent(self, tmp_path, monkeypatch,
+                                                                 capsys):
         paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
 
         def refuse(rep, out_dir):
@@ -466,9 +467,35 @@ class TestWorkerProcesses:
                             per_process(cli.write_plot_files, refuse))
         force_cpus(monkeypatch, 2)
         out_dir = tmp_path / "out"
-        with pytest.raises(PermissionError, match="refused in the child"):
-            main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {out_dir / 'plots'}: refused in the child\n"
         assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_plot_file_that_cannot_be_written_exits_2_in_input_order(self, tmp_path, monkeypatch,
+                                                                       capsys, workers):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(3)]
+        out_dir = tmp_path / "out"
+        for k in (1, 2):
+            (out_dir / "plots" / f"in{k}_daily_log_price.tsv").mkdir(parents=True)
+        force_cpus(monkeypatch, workers)
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        assert rc == 2
+        refused = out_dir / "plots" / "in1_daily_log_price.tsv"
+        assert capsys.readouterr().err == f"error: {refused}: Is a directory\n"
+        assert not (out_dir / "report.json").exists()
+
+    def test_a_report_path_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        path = simulate_file(tmp_path, days=1200)
+        out_dir = tmp_path / "out"
+        (out_dir / "report.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {out_dir / 'report.json'}: Is a directory\n"
+        assert [p.name for p in out_dir.iterdir()] == ["report.json"]
 
     @needs_fork
     @pytest.mark.parametrize("end, status", [
@@ -618,6 +645,14 @@ class TestSimulateCommand:
                    "--days", "100", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--a", "0.0005", "--b", "0.01", "--s0", "1000",
+                   "--days", "100", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
 
 class TestSelftestCommand:
     def test_default_passes(self, capsys):
@@ -640,6 +675,13 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: MARKETREG_SEED must be an integer, got 'abc'\n")
+
+    def test_env_seed_must_not_be_negative(self, monkeypatch, capsys):
+        monkeypatch.setenv("MARKETREG_SEED", "-5")
+        assert main(["selftest"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: seed must be a non-negative integer, got -5\n")
 
     def test_injected_drift_mismatch_fails_named_check(self):
         from marketreg.selftest import run_selftest

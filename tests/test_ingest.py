@@ -288,7 +288,9 @@ def _parse(source):
 
 
 def _row_loop(text):
-    return ingest._parse_rows(text, IngestConfig(), "x")
+    dates, close, volume, volume_mask = ingest._in_date_order(
+        *ingest._parse_rows(text, IngestConfig()))
+    return DailySeries(dates, close, volume, "x", volume_mask)
 
 
 LAYOUTS = [
@@ -414,6 +416,12 @@ class TestColumnPath:
         buf = io.StringIO()
         write_daily_file(long_path, buf)
         assert parse_daily_file(buf.getvalue().encode(), index_name="x") == long_path
+
+    def test_repeated_date_is_refused_without_the_row_loop(self, without_row_loop):
+        text = "Date,Close\n2019-04-02,101\n2019-04-01,100\n2019-04-02,102\n"
+        with pytest.raises(DuplicateDate) as exc:
+            parse_daily_file(text)
+        assert exc.value.date == date(2019, 4, 2)
 
     def test_yahoo_layout(self, long_path, without_row_loop):
         volumes = [None if k % 7 == 3 else 1000 + k for k in range(len(long_path))]

@@ -63,6 +63,15 @@ class TestWienerIncrements:
         with pytest.raises(ValueError):
             wiener_increments(10, dt=0.0, seed=0)
 
+    @pytest.mark.parametrize("draw", [
+        lambda seed: wiener_increments(10, seed=seed),
+        lambda seed: simulate_gbm(GbmParams(a=0.0, b=0.01, s0=1.0, n_days=10, seed=seed)),
+        lambda seed: simulate_volume(0.0, 1.0, 0.1, 10, seed),
+    ], ids=["wiener_increments", "simulate_gbm", "simulate_volume"])
+    def test_a_negative_seed_is_refused_by_name(self, draw):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            draw(-1)
+
     @given(st.integers(min_value=0, max_value=2**63))
     @settings(max_examples=25)
     def test_determinism_over_seeds(self, seed):
