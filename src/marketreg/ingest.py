@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateDate, EmptySeries, MalformedRow, UnknownColumn
-from .estimators import daily_fluctuations
 from .series import DailySeries
 
 DEFAULT_VOLUME_COLUMN = "Volume"
 ISO_DATE_FORMAT = "%Y-%m-%d"
+_EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,6 @@ class IngestConfig:
             raise ValueError("date_column and price_column must differ")
         if len(self.delimiter) != 1 or not self.delimiter.isprintable():
             raise ValueError("delimiter must be a single printable character")
-
-
-@dataclass(frozen=True)
-class ValidationSummary:
-    """Pure diagnostic snapshot of a series; computing it never mutates anything."""
-
-    n: int
-    first_date: Date | None
-    last_date: Date | None
-    missing_volumes: int
-    max_abs_delta: float | None
 
 
 def _as_text(source) -> str:
@@ -310,7 +299,8 @@ def _parse_rows(text: str, config: IngestConfig) -> tuple:
 
     if header is None or not dates:
         raise EmptySeries("no data rows found")
-    return (np.array(dates, dtype="datetime64[D]"), np.array(closes),
+    days = np.fromiter(map(Date.toordinal, dates), np.int64, len(dates)) - _EPOCH_ORDINAL
+    return (days.astype("datetime64[D]"), np.array(closes),
             np.array(volumes, dtype=np.int64), np.array(volume_mask))
 
 
@@ -376,16 +366,3 @@ def write_daily_file(series: DailySeries, dest) -> None:
         fh.write(header + "\n")
         fh.writelines(format_rows(row_format + "\n", columns))
 
-
-def validate_series(series: DailySeries) -> ValidationSummary:
-    """Report record count, date span, missing volumes and the largest
-    single-day percentage move, None for a one-row series. Every close is
-    finite and positive, since ``DailySeries`` refuses any other; a move past
-    float64 raises FluctuationOverflow, as ``daily_fluctuations`` does."""
-    return ValidationSummary(
-        n=len(series),
-        first_date=series.dates[0].item(),
-        last_date=series.dates[-1].item(),
-        missing_volumes=int(np.count_nonzero(~series.volume_mask)),
-        max_abs_delta=float(np.abs(daily_fluctuations(series)).max()) if len(series) > 1 else None,
-    )

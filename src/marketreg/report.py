@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +51,6 @@ def display_row(report: RegularityReport) -> dict[str, str]:
     }
 
 
-def _fit_payload(fit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "stderr_slope": fit.stderr_slope,
-        "r_squared": fit.r_squared,
-        "n": fit.n,
-    }
-
-
 def report_payload(reports: list[RegularityReport]) -> dict:
     """Assemble the JSON-ready payload for a set of analyzed indices.
 
@@ -88,7 +79,7 @@ def report_payload(reports: list[RegularityReport]) -> dict:
                 "bin_width_pct": rep.bin_width,
                 "variance_fit_mode": rep.variance_fit_mode,
                 "display": display_row(rep),
-                "diagnostics": {k: _fit_payload(v) for k, v in rep.diagnostics.items()},
+                "diagnostics": {k: asdict(v) for k, v in rep.diagnostics.items()},
                 "field_errors": rep.errors,
             }
         )

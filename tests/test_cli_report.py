@@ -654,6 +654,45 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+# The whole report of `selftest` and `selftest --strict` at the default seed.
+SELFTEST_STDOUT = """\
+wiener_mean                            -0.00004  |x| < 0.00950              PASS
+wiener_std                              0.99932  |x - 1| <= 0.01000         PASS
+wiener_lag1_autocorr                   -0.00268  |x| < 0.00950              PASS
+wiener_dt4_std                          1.99916  |x - 2| <= 0.02000         PASS
+gbm_drift                         0.03008 %/day  |x - 0.03| <= 0.00063      PASS
+gbm_delta_mean                        0.03891 %  |x - 0.03| <= 0.04808      PASS
+gbm_delta_std                         1.18836 %  |x/1.2 - 1| <= 0.05000     PASS
+variance_flat                 +6.858e-07 /month  |x| <= 1.154e-06           PASS
+variance_decline_sign         -5.050e-06 /month  x < 0 and |x| > 1.625e-06  PASS
+exact_daily_growth         0.050000000000 %/day  |x - 0.05| <= 1.0e-09      PASS
+exact_monthly_growth      0.010500000000 /month  |x - 0.0105| <= 1.0e-09    PASS
+gaussian_amplitude_exact       100.000000000000  |x - 100| <= 1.0e-09       PASS
+volume_exact               0.039999999727 %/day  |x - 0.04| <= 1.0e-09      PASS
+volume_noisy                      0.04010 %/day  |x - 0.04| <= 0.00060      PASS
+pipeline_determinism                  identical  byte-identical reports     PASS
+15/15 checks passed
+"""
+STRICT_SELFTEST_STDOUT = """\
+wiener_mean                            -0.00004  |x| < 0.00095              PASS
+wiener_std                              0.99932  |x - 1| <= 0.00100         PASS
+wiener_lag1_autocorr                   -0.00268  |x| < 0.00095              FAIL
+wiener_dt4_std                          1.99916  |x - 2| <= 0.00200         PASS
+gbm_drift                         0.03008 %/day  |x - 0.03| <= 0.00006      FAIL
+gbm_delta_mean                        0.03891 %  |x - 0.03| <= 0.00481      FAIL
+gbm_delta_std                         1.18836 %  |x/1.2 - 1| <= 0.00500     FAIL
+variance_flat                 +6.858e-07 /month  |x| <= 1.154e-07           FAIL
+variance_decline_sign         -5.050e-06 /month  x < 0 and |x| > 1.625e-05  FAIL
+exact_daily_growth         0.050000000000 %/day  |x - 0.05| <= 1.0e-10      PASS
+exact_monthly_growth      0.010500000000 /month  |x - 0.0105| <= 1.0e-10    PASS
+gaussian_amplitude_exact       100.000000000000  |x - 100| <= 1.0e-10       PASS
+volume_exact               0.039999999727 %/day  |x - 0.04| <= 1.0e-10      FAIL
+volume_noisy                      0.04010 %/day  |x - 0.04| <= 0.00006      FAIL
+pipeline_determinism                  identical  byte-identical reports     PASS
+7/15 checks passed
+"""
+
+
 class TestSelftestCommand:
     def test_default_passes(self, capsys):
         assert main(["selftest"]) == 0
@@ -663,6 +702,14 @@ class TestSelftestCommand:
     def test_strict_fails_as_designed(self, capsys):
         assert main(["selftest", "--strict"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, status, expected", [
+        ([], 0, SELFTEST_STDOUT), (["--strict"], 4, STRICT_SELFTEST_STDOUT)],
+        ids=["default", "strict"])
+    def test_default_seed_prints_every_bound(self, monkeypatch, capsys, args, status, expected):
+        monkeypatch.delenv("MARKETREG_SEED", raising=False)
+        assert main(["selftest", *args]) == status
+        assert capsys.readouterr().out == expected
 
     def test_env_seed_override(self, monkeypatch, capsys):
         # 777000 is a seed where the drift check misses its 3-stderr band.
