@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error (bad data, columns, paths or simulate parameters,
 including a simulated price past float64 or volume past int64, a day-over-day
-change past float64, and two inputs whose plot files would share a name),
+change or its mean square past float64, a histogram past MAX_BINS bins, and
+two inputs whose plot files would share a name),
 3 estimation error, 4 selftest failure.
 """
 
@@ -180,14 +181,22 @@ def run_analyze(args: argparse.Namespace) -> int:
             plots_dir.mkdir(exist_ok=True)
     except OSError as exc:
         _checked(exc.filename, exc)
-    if args.plots:
-        for written in _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n):
-            _checked(getattr(written, "filename", None) or plots_dir, written)
     report_path = args.out / "report.json"
+    written = []  # this run's plot files, removed if the run fails
     try:
-        write_report_atomic(payload, report_path)
-    except OSError as exc:
-        _checked(report_path, exc)
+        if args.plots:
+            plotted = _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n)
+            written = [path for paths in plotted if isinstance(paths, list) for path in paths]
+            for paths in plotted:
+                _checked(getattr(paths, "filename", None) or plots_dir, paths)
+        try:
+            write_report_atomic(payload, report_path)
+        except OSError as exc:
+            _checked(report_path, exc)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
     header = f"{'index':<20} {'a':>10} {'mu':>8} {'sigma':>8} {'m':>8} {'w':>10} {'nu':>8}"
     print(header)

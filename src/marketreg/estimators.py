@@ -36,6 +36,7 @@ from .series import (
 )
 
 DEFAULT_BIN_WIDTH = 0.1  # percent; resolves sigma in the 1-3 range with 20-60 bins
+MAX_BINS = 2**22  # 32 MiB per float64 column; the paper's indices need a few hundred
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,9 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 def linear_least_squares(x, y, through_origin: bool = False) -> FitResult:
     """Ordinary least squares of y on x, two equal-length 1-D sequences.
 
-    The default fit carries an intercept; ``through_origin`` forces the line
-    through (0, 0), in which case r_squared is the uncentered version.
+    The fit is centred: about the means of x and y by default, which carries
+    an intercept, and about (0, 0) with ``through_origin``, which forces the
+    line through the origin and makes r_squared the uncentered version.
     ``stderr_slope`` is the usual OLS slope standard error (defined as 0 when
     there are no residual degrees of freedom).
     """
@@ -182,30 +184,18 @@ def linear_least_squares(x, y, through_origin: bool = False) -> FitResult:
     if n < 2:
         raise InsufficientData("a line fit needs at least 2 points")
 
-    if through_origin:
-        sxx = _dot(x, x)
-        if sxx == 0.0:
-            raise DegenerateX("all x values are zero")
-        slope = _dot(x, y) / sxx
-        intercept = 0.0
-        resid = y - slope * x
-        sse = _dot(resid, resid)
-        syy = _dot(y, y)
-        r2 = 1.0 if syy == 0.0 else 1.0 - sse / syy
-        dof = n - 1
-    else:
-        xm, ym = x.mean(), y.mean()
-        dx, dy = x - xm, y - ym
-        sxx = _dot(dx, dx)
-        if sxx == 0.0:
-            raise DegenerateX("all x values are identical")
-        slope = _dot(dx, dy) / sxx
-        intercept = float(ym - slope * xm)
-        resid = y - (intercept + slope * x)
-        sse = _dot(resid, resid)
-        sst = _dot(dy, dy)
-        r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-        dof = n - 2
+    xc, yc = (0.0, 0.0) if through_origin else (x.mean(), y.mean())
+    dx, dy = x - xc, y - yc
+    sxx = _dot(dx, dx)
+    if sxx == 0.0:
+        raise DegenerateX("all x values are " + ("zero" if through_origin else "identical"))
+    slope = _dot(dx, dy) / sxx
+    intercept = float(yc - slope * xc)
+    resid = y - (intercept + slope * x)
+    sse = _dot(resid, resid)
+    syy = _dot(dy, dy)
+    r2 = 1.0 if syy == 0.0 else 1.0 - sse / syy
+    dof = n - 1 if through_origin else n - 2
 
     stderr = math.sqrt(max(sse, 0.0) / dof / sxx) if dof > 0 else 0.0
     r2 = min(max(r2, 0.0), 1.0)
@@ -247,12 +237,17 @@ def fluctuation_moments(fluct: np.ndarray) -> tuple[float, float]:
     """Mean and population standard deviation of the fluctuation distribution.
 
     sigma is computed as sqrt(<delta^2> - mu^2), the population convention.
+    Raises FluctuationOverflow when <delta^2> does not fit a float64.
     """
     if len(fluct) < 2:
         raise InsufficientData("need at least 2 fluctuations for moments")
     d = np.asarray(fluct, dtype=float)
-    mu = float(d.mean())
-    variance = max(float(np.mean(d * d)) - mu * mu, 0.0)
+    with np.errstate(over="ignore"):
+        mu = float(d.mean())
+        mean_square = float(np.mean(d * d))
+    if mean_square == math.inf:
+        raise FluctuationOverflow("the mean square of the fluctuations overflows float64")
+    variance = max(mean_square - mu * mu, 0.0)
     return mu, math.sqrt(variance)
 
 
@@ -261,6 +256,7 @@ def build_histogram(fluct: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
 
     Uniform bins span [min - width, max + width] so the extreme observations
     sit strictly inside the binned range; bins are left-closed right-open.
+    Raises FluctuationOverflow when that span needs more than MAX_BINS bins.
     """
     if not 0 < bin_width < math.inf:
         raise ValueError("bin_width must be finite and > 0")
@@ -269,9 +265,11 @@ def build_histogram(fluct: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     d = np.asarray(fluct, dtype=float)
     lo = float(d.min()) - bin_width
     hi = float(d.max()) + bin_width
-    n_bins = max(1, math.ceil((hi - lo) / bin_width))
-    while lo + n_bins * bin_width <= d.max():  # fp guard: last edge must exceed max
-        n_bins += 1
+    span = (hi - lo) / bin_width  # checked before ceil, which refuses an infinite span
+    if span > MAX_BINS:
+        raise FluctuationOverflow(f"fluctuations from {d.min()}% to {d.max()}% "
+                                  f"need more than {MAX_BINS} bins of {bin_width}%")
+    n_bins = math.ceil(span)
     edges = lo + bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(d, bins=edges)
     return Histogram(edges, counts)

@@ -70,25 +70,23 @@ def _column_index(header: list[str], name: str) -> int:
         raise UnknownColumn(name) from None
 
 
-def _parse_price(cell: str, config: IngestConfig, line_no: int) -> float:
-    text = cell.strip()
+def _parse_price(text: str, config: IngestConfig, line_no: int) -> float:
+    """The close in ``text``, a stripped cell."""
     if not text:
         raise MalformedRow(line_no, "empty price cell")
-    if config.decimal_comma:
-        text = text.replace(",", ".")
     try:
-        value = float(text)
+        value = float(text.replace(",", ".") if config.decimal_comma else text)
     except ValueError:
-        raise MalformedRow(line_no, f"unparseable price {cell!r}") from None
+        raise MalformedRow(line_no, f"unparseable price {text!r}") from None
     if not math.isfinite(value):
-        raise MalformedRow(line_no, f"non-finite price {cell!r}")
+        raise MalformedRow(line_no, f"non-finite price {text!r}")
     if value <= 0:
         raise MalformedRow(line_no, f"nonpositive price {value}")
     return value
 
 
-def _parse_volume(cell: str, line_no: int) -> int | None:
-    text = cell.strip()
+def _parse_volume(text: str, line_no: int) -> int | None:
+    """The volume in ``text``, a stripped cell, or None when it is empty."""
     if not text:
         return None  # missing volume is allowed, zero volume is data
     try:
@@ -97,9 +95,9 @@ def _parse_volume(cell: str, line_no: int) -> int | None:
         try:
             as_float = float(text)
         except ValueError:
-            raise MalformedRow(line_no, f"unparseable volume {cell!r}") from None
+            raise MalformedRow(line_no, f"unparseable volume {text!r}") from None
         if not as_float.is_integer():
-            raise MalformedRow(line_no, f"non-integer volume {cell!r}")
+            raise MalformedRow(line_no, f"non-integer volume {text!r}")
         value = int(as_float)
     if value < 0:
         raise MalformedRow(line_no, f"negative volume {value}")

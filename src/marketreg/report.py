@@ -134,12 +134,17 @@ def check_plot_stems(sources: list, index_names: list[str]) -> None:
 
 def _write_tsv(path: Path, comments: list[str], header: list[str], columns: list) -> None:
     # Each column is a numpy array, or a str that is the same cell on every row
-    # and goes into the row format once.
+    # and goes into the row format once. A failed write removes its partial file.
     cells = ["%s" if isinstance(c, np.ndarray) else c.replace("%", "%%") for c in columns]
     varying = [c for c in columns if isinstance(c, np.ndarray)]
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("".join(f"# {c}\n" for c in comments) + "\t".join(header) + "\n")
-        fh.writelines(format_rows("\t".join(cells) + "\n", varying))
+    fh = path.open("w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("".join(f"# {c}\n" for c in comments) + "\t".join(header) + "\n")
+            fh.writelines(format_rows("\t".join(cells) + "\n", varying))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def write_plot_files(report: RegularityReport, out_dir: Path) -> list[Path]:
@@ -148,7 +153,8 @@ def write_plot_files(report: RegularityReport, out_dir: Path) -> list[Path]:
 
     Every file carries the fitted line (or model curve) as an extra column
     whose slope equals the corresponding report field exactly. The volume
-    file is written only when the series has usable volume data.
+    file is written only when the series has usable volume data. A failed
+    write removes every file this call wrote before the error is raised.
     """
     t = np.arange(report.n_records)
     diag = report.diagnostics
@@ -202,8 +208,13 @@ def write_plot_files(report: RegularityReport, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _safe_name(report.index_name)
     written = []
-    for suffix, comments, header, columns in views:
-        path = out_dir / f"{stem}_{suffix}.tsv"
-        _write_tsv(path, [f"index: {report.index_name}", *comments], header, columns)
-        written.append(path)
+    try:
+        for suffix, comments, header, columns in views:
+            path = out_dir / f"{stem}_{suffix}.tsv"
+            _write_tsv(path, [f"index: {report.index_name}", *comments], header, columns)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return written

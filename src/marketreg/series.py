@@ -191,13 +191,13 @@ def log_series(series: DailySeries) -> np.ndarray:
     return read_only(np.log(series.close))
 
 
-def monthly_aggregates(series: DailySeries, min_days: int = MIN_DAYS_PER_MONTH) -> MonthlyTable:
+def monthly_aggregates(series: DailySeries) -> MonthlyTable:
     """Aggregate ln(close) by calendar month.
 
     Each retained month is one row of the table: the arithmetic mean and the
     population (divide-by-n) standard deviation of ln(close) over its days.
-    Months with fewer than ``min_days`` trading days are dropped and tau is
-    assigned sequentially over the months that remain.
+    Months with fewer than MIN_DAYS_PER_MONTH trading days are dropped and
+    tau is assigned sequentially over the months that remain.
 
     Raises InsufficientData when the series is shorter than 2 records or no
     month qualifies.
@@ -212,7 +212,7 @@ def monthly_aggregates(series: DailySeries, min_days: int = MIN_DAYS_PER_MONTH) 
     dev = ln_close - mean[group]
     std = np.sqrt(np.bincount(group, weights=dev * dev) / n_days)  # population, ddof=0
 
-    kept = np.flatnonzero(n_days >= min_days)
+    kept = np.flatnonzero(n_days >= MIN_DAYS_PER_MONTH)
     if not kept.size:
-        raise InsufficientData(f"no calendar month has at least {min_days} trading days")
+        raise InsufficientData(f"no calendar month has at least {MIN_DAYS_PER_MONTH} trading days")
     return MonthlyTable(np.arange(kept.size), keys[kept], mean[kept], std[kept], n_days[kept])

@@ -73,11 +73,15 @@ def exponential_series(alpha: float, n_days: int, s0: float = 1000.0,
     )
 
 
-def ols_oracle(points):
-    """Least squares with intercept via exact rational normal equations.
+def ols_oracle(points, through_origin: bool = False):
+    """Least squares via exact rational normal equations, with an intercept or
+    through the origin.
 
     Returns (slope, intercept, r_squared, stderr_slope) as floats, or None
-    when all x coincide. Independent of the numpy implementation under test.
+    when all x coincide (all x are zero through the origin). Through the
+    origin the slope is Sxy/Sxx, r_squared the uncentered 1 - SSE/Syy and the
+    stderr sqrt(SSE/(n-1)/Sxx). Independent of the numpy implementation under
+    test.
     """
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     n = len(pts)
@@ -85,6 +89,14 @@ def ols_oracle(points):
     sy = sum(p[1] for p in pts)
     sxx = sum(p[0] * p[0] for p in pts)
     sxy = sum(p[0] * p[1] for p in pts)
+    if through_origin:
+        if sxx == 0:
+            return None
+        slope = Fraction(sxy, sxx)
+        sse = sum((y - slope * x) ** 2 for x, y in pts)
+        syy = sum(y * y for _, y in pts)
+        r2 = 1.0 if syy == 0 else float(1 - Fraction(sse, syy))
+        return float(slope), 0.0, r2, math.sqrt(float(Fraction(sse, n - 1) / sxx))
     det = n * sxx - sx * sx
     if det == 0:
         return None
@@ -101,15 +113,16 @@ def ols_oracle(points):
     return float(slope), float(intercept), r2, stderr
 
 
-def monthly_oracle(series: DailySeries, min_days: int = 10):
-    """Brute-force recomputation of the per-month mean/std of ln(close)."""
+def monthly_oracle(series: DailySeries):
+    """Brute-force recomputation of the per-month mean/std of ln(close) over
+    the months with at least 10 trading days."""
     groups: dict[tuple[int, int], list[float]] = {}
     for rec in series.records:
         groups.setdefault((rec.date.year, rec.date.month), []).append(math.log(rec.close))
     out = []
     for key in sorted(groups):
         vals = groups[key]
-        if len(vals) >= min_days:
+        if len(vals) >= 10:
             out.append((key, statistics.fmean(vals), statistics.pstdev(vals), len(vals)))
     return out
 

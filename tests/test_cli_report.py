@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from marketreg import cli, estimators, report, series
 from marketreg.cli import main
 from marketreg.errors import MarketRegError
 from marketreg.estimators import analyze_index
-from marketreg.ingest import IngestConfig, parse_daily_path
+from marketreg.ingest import IngestConfig, parse_daily_path, write_daily_file
 from marketreg.report import (
     _display,
     render_report_json,
@@ -75,6 +76,15 @@ class TestReportPayload:
         assert row["display"]["nu"] == "-"
         assert "nu" in row["field_errors"]
 
+    def test_three_equal_growth_rates_give_no_correlation(self, tmp_path, capsys):
+        # One path under three names: a is the same for each, so r(a, m) is undefined.
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", days=1200) for k in range(3)]
+        out_dir = tmp_path / "out"
+        assert main(["analyze", "--input", *map(str, paths), "--out", str(out_dir)]) == 0
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["cross_index"] == {"pearson_a_m": None, "n_indices": 3}
+        assert "cross-index" not in capsys.readouterr().out
+
     def test_cross_index_present_from_three(self, tmp_path):
         reports = []
         for i, a in enumerate(("0.0002", "0.0004", "0.0006")):
@@ -117,6 +127,27 @@ class TestPlotFiles:
                 "daily_log_volume.tsv",
             ]
         )
+
+    def test_a_failed_write_removes_every_file_of_the_call(self, tmp_path, monkeypatch):
+        # The third file fails part-way, as on a full disk: it, the two files
+        # written before it and the earlier run's file the first overwrote all go.
+        rep = analyze_index(parse_daily_path(simulate_file(tmp_path)))
+        out_dir = tmp_path / "plots"
+        out_dir.mkdir()
+        (out_dir / "sim_daily_log_price.tsv").write_text("an earlier run\n")
+        calls, format_rows = [], report.format_rows
+
+        def rows_then_full_disk(row_format, columns):
+            calls.append(row_format)
+            yield from format_rows(row_format, columns)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(report, "format_rows", rows_then_full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            write_plot_files(rep, out_dir)
+        assert len(calls) == 3
+        assert list(out_dir.iterdir()) == []
 
     def test_volume_file_skipped_without_volume(self, tmp_path):
         path = simulate_file(tmp_path, with_volume=False)
@@ -242,6 +273,31 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "t=1 (2019-01-02) is 1e-300, close at t=2 (2019-01-03) is 1e+300" in err
         assert "RuntimeWarning" not in err and "overflow encountered" not in err
+
+    @pytest.mark.parametrize("factor, reason", [
+        (1e6, "need more than 4194304 bins of 0.1%"),
+        (1e13, "need more than 4194304 bins of 0.1%"),
+        (1e200, "the mean square of the fluctuations overflows float64"),
+    ])
+    def test_a_jump_too_wide_to_bin_exits_2_in_bounded_memory(self, tmp_path, factor, reason):
+        # Every close from row 500 on is multiplied by factor, so the histogram
+        # would need from 1e9 to 1e202 bins; the child may map at most 1 GiB.
+        parsed = parse_daily_path(simulate_file(tmp_path, days=1300, with_volume=False))
+        close = parsed.close.copy()
+        close[500:] *= factor
+        path = tmp_path / "jump.csv"
+        write_daily_file(series.DailySeries(parsed.dates, close), path)
+        out_dir = tmp_path / "out"
+        # One BLAS thread keeps numpy's own reservation small under the cap.
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "analyze", "--input", str(path),
+             "--out", str(out_dir)],
+            capture_output=True, text=True, timeout=60,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: jump: ") and reason in lines[0]
+        assert not (out_dir / "report.json").exists()
 
     def test_estimation_error_exits_3_without_report(self, tmp_path, capsys):
         short = simulate_file(tmp_path, name="short.csv", days=30, with_volume=False)
@@ -487,6 +543,9 @@ class TestWorkerProcesses:
         refused = out_dir / "plots" / "in1_daily_log_price.tsv"
         assert capsys.readouterr().err == f"error: {refused}: Is a directory\n"
         assert not (out_dir / "report.json").exists()
+        # No plot file of the failed run is left, only the two blocking directories.
+        assert sorted(p.name for p in (out_dir / "plots").iterdir()) == [
+            "in1_daily_log_price.tsv", "in2_daily_log_price.tsv"]
 
     def test_a_report_path_that_cannot_be_written_exits_2(self, tmp_path, capsys):
         path = simulate_file(tmp_path, days=1200)
@@ -496,6 +555,15 @@ class TestWorkerProcesses:
         assert main(["analyze", "--input", str(path), "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err == f"error: {out_dir / 'report.json'}: Is a directory\n"
         assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+
+    def test_a_report_that_cannot_be_written_leaves_no_plot_file(self, tmp_path, capsys):
+        path = simulate_file(tmp_path, days=1200)
+        out_dir = tmp_path / "out"
+        (out_dir / "report.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(path), "--out", str(out_dir), "--plots"]) == 2
+        assert capsys.readouterr().err == f"error: {out_dir / 'report.json'}: Is a directory\n"
+        assert list((out_dir / "plots").iterdir()) == []
 
     @needs_fork
     @pytest.mark.parametrize("end, status", [
@@ -803,6 +871,13 @@ def test_report_does_not_depend_on_the_blas_thread_count():
                              text=True, check=True, env=env)
         texts.append(out.stdout)
     assert texts[0] == texts[1]
+
+
+LIMITED_CLI = """
+import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+runpy.run_module("marketreg", run_name="__main__")
+"""
 
 
 def child_env() -> dict:

@@ -20,6 +20,7 @@ from marketreg.errors import (
     NoVolumeData,
 )
 from marketreg.estimators import (
+    MAX_BINS,
     FitResult,
     GaussianOffsetFit,
     Histogram,
@@ -113,6 +114,7 @@ class TestLinearLeastSquares:
         fit = fit_pairs([(0, 1), (1, 3)])
         assert fit.stderr_slope == 0.0
 
+    @pytest.mark.parametrize("through_origin", [False, True])
     @given(
         st.lists(
             st.tuples(
@@ -123,18 +125,18 @@ class TestLinearLeastSquares:
             max_size=5,
         )
     )
-    def test_matches_exact_rational_oracle(self, points):
-        oracle = ols_oracle(points)
+    def test_matches_exact_rational_oracle(self, through_origin, points):
+        oracle = ols_oracle(points, through_origin)
         if oracle is None:
             with pytest.raises(DegenerateX):
-                fit_pairs(points)
+                fit_pairs(points, through_origin)
             return
         slope, intercept, r2, stderr = oracle
-        fit = fit_pairs(points)
+        fit = fit_pairs(points, through_origin)
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.intercept == pytest.approx(intercept, abs=1e-9)
         assert fit.r_squared == pytest.approx(r2, abs=1e-9)
-        if fit.n > 2:
+        if fit.n > 2 or through_origin:  # both have residual degrees of freedom
             assert fit.stderr_slope == pytest.approx(stderr, abs=1e-9)
 
     @given(
@@ -268,6 +270,11 @@ class TestMoments:
         mean_sq = float(np.mean(np.square(values)))
         assert sigma**2 + mu**2 == pytest.approx(mean_sq, rel=1e-12, abs=1e-12)
 
+    def test_mean_square_past_float64_raises(self):
+        # 1e200**2 overflows; sqrt(inf - inf) would make sigma nan.
+        with pytest.raises(FluctuationOverflow, match="mean square"):
+            fluctuation_moments(np.array([0.0, 1e200]))
+
     def test_matches_stdlib_oracle(self):
         values = [0.3, -1.2, 2.5, 0.0, -0.7, 1.1]
         mu, sigma = fluctuation_moments(np.array(values, dtype=float))
@@ -317,6 +324,16 @@ class TestHistogram:
         assert sum(hist.counts) == len(values)
         assert min(values) >= hist.bin_edges[0]
         assert max(values) < hist.bin_edges[-1]
+
+    def test_span_past_max_bins_raises(self):
+        # [0, MAX_BINS - 2] at width 1 bins [-1, MAX_BINS - 1): exactly MAX_BINS bins.
+        hist = build_histogram(np.array([0.0, MAX_BINS - 2.0]), 1.0)
+        assert len(hist.counts) == MAX_BINS and sum(hist.counts) == 2
+        # One bin more; 1e16 bins at the default width; a span of inf bins.
+        for values, width in (([0.0, MAX_BINS - 1.0], 1.0), ([0.0, 1e15], 0.1),
+                              ([0.0, 1e308], 0.01)):
+            with pytest.raises(FluctuationOverflow, match=f"more than {MAX_BINS} bins"):
+                build_histogram(np.array(values), width)
 
     def test_type_invariants(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,20 @@ class TestParse:
             with pytest.raises(MalformedRow):
                 parse_daily_file(f"Date,Close,Volume\n2019-04-01,1,{bad}\n")
 
+    @pytest.mark.parametrize("row, config, reason", [
+        ("2019-04-01, abc ,5", IngestConfig(), "unparseable price 'abc'"),
+        ("2019-04-01, nan ,5", IngestConfig(), "non-finite price 'nan'"),
+        ("2019-04-01; 1,5x ;5", IngestConfig(delimiter=";", decimal_comma=True),
+         "unparseable price '1,5x'"),
+        ("2019-04-01,1, x ", IngestConfig(), "unparseable volume 'x'"),
+        ("2019-04-01,1, 2.5 ", IngestConfig(), "non-integer volume '2.5'"),
+    ])
+    def test_cell_errors_quote_the_cell_as_stripped(self, row, config, reason):
+        header = config.delimiter.join(["Date", "Close", "Volume"])
+        with pytest.raises(MalformedRow) as exc:
+            parse_daily_file(f"{header}\n{row}\n", config)
+        assert str(exc.value) == f"line 2: {reason}"
+
     def test_duplicate_date(self):
         text = "Date,Close\n2019-04-01,100\n2019-04-01,101\n"
         with pytest.raises(DuplicateDate) as exc:
