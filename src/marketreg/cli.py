@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input error (bad data, columns, paths or simulate parameters,
 including a simulated price past float64 or volume past int64, a day-over-day
-change or its mean square past float64, a histogram past MAX_BINS bins, and
-two inputs whose plot files would share a name),
+change or its mean square past float64, a histogram past MAX_BINS bins or
+with bins finer than float64 can space, and two inputs whose plot files
+would share a name),
 3 estimation error, 4 selftest failure.
 """
 
@@ -17,15 +18,9 @@ import sys
 from pathlib import Path
 
 from .errors import MarketRegError
-from .estimators import DEFAULT_BIN_WIDTH, analyze_index
+from .estimators import DEFAULT_BIN_WIDTH, VARIANCE_FIT_MODES, analyze_index
 from .ingest import IngestConfig, parse_daily_path, write_daily_file
-from .report import (
-    check_plot_stems,
-    display_row,
-    report_payload,
-    write_plot_files,
-    write_report_atomic,
-)
+from .report import check_plot_stems, report_payload, write_plot_files, write_report_atomic
 from .simulate import GbmParams, simulate_gbm, simulate_volume
 
 EXIT_OK = 0
@@ -34,6 +29,9 @@ EXIT_SELFTEST = 4
 
 # Parameters drift with window length; two decades is the intended regime.
 SHORT_SERIES_WARNING = 1000
+
+# The summary table: a format spec per column, keyed by the header cell.
+_TABLE = {"index": "<20", "a": ">10", "mu": ">8", "sigma": ">8", "m": ">8", "w": ">10", "nu": ">8"}
 
 
 def _process_count(n_inputs: int) -> int:
@@ -58,8 +56,8 @@ def _outcome(work, item):
 def _in_processes(work, items: list, n: int) -> list:
     """``work(item)``, or the exception it raised, for each item in order,
     with ``items[k::n]`` run in a forked child for each k >= 1 and
-    ``items[0::n]`` in this process. A child that ends without a result
-    raises ChildProcessError naming its exit status, once all are reaped.
+    ``items[0::n]`` in this process. Each item of a child that ends without
+    a result gets a ChildProcessError naming the child's exit status.
     """
     pipes = {}  # child pid -> read end of the pipe its result comes through
     try:
@@ -95,19 +93,18 @@ def _in_processes(work, items: list, n: int) -> list:
         for fh in pipes.values():
             fh.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pipes]
-    for pid, code in zip(pipes, codes):
-        if code != 0:
-            raise ChildProcessError(f"worker process {pid} ended without a result "
-                                    f"(exit status {code})")
-    shares += [pickle.loads(blob) for blob in data]
+    for k, (pid, code, blob) in enumerate(zip(pipes, codes, data), start=1):
+        shares.append(pickle.loads(blob) if code == 0 else [
+            ChildProcessError(f"worker process {pid} ended without a result (exit status {code})")
+            for _ in items[k::n]])
     return [shares[i % n][i // n] for i in range(len(items))]
 
 
 def _checked(source, outcome):
     """``outcome``, unless it is an exception: an OSError exits 2 and a
     MarketRegError with its own status, each naming ``source``; any other
-    exception is raised."""
-    if isinstance(outcome, OSError):
+    exception, a dead worker's ChildProcessError included, is raised."""
+    if isinstance(outcome, OSError) and not isinstance(outcome, ChildProcessError):
         reason = "file not found" if isinstance(outcome, FileNotFoundError) else outcome.strerror
         raise _CliFailure(EXIT_INPUT, f"{source}: {reason}") from None
     if isinstance(outcome, MarketRegError):
@@ -115,10 +112,6 @@ def _checked(source, outcome):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-# The report fields that only the plot files read.
-_PLOT_ARRAYS = ("ln_close", "fluctuations", "histogram", "monthly", "volume_t", "ln_volume")
 
 
 def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Namespace) -> tuple:
@@ -132,7 +125,7 @@ def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Names
             series, bin_width=args.bin_width, variance_fit_mode=args.variance_fit
         )
         if not args.plots:
-            report = dataclasses.replace(report, **dict.fromkeys(_PLOT_ARRAYS))
+            report = report.without_arrays()
     except Exception as exc:
         report = exc
     return series.index_name, len(series), report
@@ -146,14 +139,8 @@ def run_analyze(args: argparse.Namespace) -> int:
     children, one process per usable CPU; errors, warnings and files come out
     as they would from a single process working through the inputs in order.
     """
-    ingest_config = IngestConfig(
-        date_column=args.date_column,
-        price_column=args.price_column,
-        volume_column=args.volume_column,
-        date_format=args.date_format,
-        delimiter=args.delimiter,
-        decimal_comma=args.decimal_comma,
-    )
+    ingest_config = IngestConfig(**{f.name: getattr(args, f.name)
+                                    for f in dataclasses.fields(IngestConfig)})
     n = _process_count(len(args.input))
     outcomes = _in_processes(lambda path: _analyze_input(path, ingest_config, args), args.input, n)
 
@@ -177,8 +164,6 @@ def run_analyze(args: argparse.Namespace) -> int:
     plots_dir = args.out / "plots"
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        if args.plots:
-            plots_dir.mkdir(exist_ok=True)
     except OSError as exc:
         _checked(exc.filename, exc)
     report_path = args.out / "report.json"
@@ -198,14 +183,9 @@ def run_analyze(args: argparse.Namespace) -> int:
             path.unlink(missing_ok=True)
         raise
 
-    header = f"{'index':<20} {'a':>10} {'mu':>8} {'sigma':>8} {'m':>8} {'w':>10} {'nu':>8}"
-    print(header)
-    for rep in reports:
-        row = display_row(rep)
-        print(
-            f"{rep.index_name:<20} {row['a']:>10} {row['mu']:>8} {row['sigma']:>8} "
-            f"{row['m']:>8} {row['w']:>10} {row['nu']:>8}"
-        )
+    rows = [{"index": entry["index_name"], **entry["display"]} for entry in payload["indices"]]
+    for cells in [{column: column for column in _TABLE}, *rows]:
+        print(" ".join(format(cells[column], spec) for column, spec in _TABLE.items()))
     cross = payload.get("cross_index")
     if cross and cross["pearson_a_m"] is not None:
         print(f"cross-index r(a, m) = {cross['pearson_a_m']:.3f}")
@@ -258,31 +238,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="analyze one or more daily data files")
+    pa.set_defaults(run=run_analyze)
     pa.add_argument("--input", type=Path, nargs="+", action="extend", required=True, metavar="FILE",
                     help="daily data file(s); repeatable")
     pa.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH,
-                    help="histogram bin width in percent (default 0.1)")
-    pa.add_argument("--variance-fit", choices=["intercept", "origin"], default="intercept",
+                    help="histogram bin width in percent (default %(default)s)")
+    pa.add_argument("--variance-fit", choices=VARIANCE_FIT_MODES, default=VARIANCE_FIT_MODES[0],
                     help="monthly variance trend fit mode")
     pa.add_argument("--out", type=Path, default=Path("."), metavar="DIR",
                     help="output directory for report.json and plot files")
     pa.add_argument("--plots", action="store_true", help="emit plot-ready TSV files")
-    pa.add_argument("--date-column", default="Date")
-    pa.add_argument("--price-column", default="Close")
-    pa.add_argument("--volume-column", default=None)
-    pa.add_argument("--date-format", default="%Y-%m-%d")
-    pa.add_argument("--delimiter", default=",")
-    pa.add_argument("--decimal-comma", action="store_true",
-                    help="prices use a comma as the decimal separator")
+    pa.add_argument("--date-column", default=IngestConfig.date_column,
+                    help="header of the date column (default: %(default)s)")
+    pa.add_argument("--price-column", default=IngestConfig.price_column,
+                    help="header of the closing-price column (default: %(default)s)")
+    pa.add_argument("--volume-column", default=IngestConfig.volume_column,
+                    help="header of the traded-volume column; None takes a column named "
+                         "Volume if there is one (default: %(default)s)")
+    pa.add_argument("--date-format", default=IngestConfig.date_format,
+                    help="strptime format of the dates (default: %(default)s)")
+    pa.add_argument("--delimiter", default=IngestConfig.delimiter,
+                    help="field separator, one character (default: %(default)s)")
+    pa.add_argument("--decimal-comma", action="store_true", default=IngestConfig.decimal_comma,
+                    help="prices use a comma as the decimal separator (default: %(default)s)")
 
     ps = sub.add_parser("simulate", help="simulate a price path with known parameters")
+    ps.set_defaults(run=run_simulate)
     ps.add_argument("--a", type=float, required=True, help="drift, fraction per day")
     ps.add_argument("--b", type=float, required=True, help="volatility, fraction per sqrt(day)")
     ps.add_argument("--s0", type=float, required=True, help="initial price")
     ps.add_argument("--days", type=int, required=True, help="path length in trading days")
     ps.add_argument("--seed", type=int, required=True, help="64-bit generator seed")
-    ps.add_argument("--dt", type=float, default=1.0, help="day fraction per step")
-    ps.add_argument("--decay-to", type=float, default=None,
+    ps.add_argument("--dt", type=float, default=GbmParams.dt, help="day fraction per step")
+    ps.add_argument("--decay-to", type=float, default=GbmParams.b_end,
                     help="end volatility of a linear decline from --b")
     ps.add_argument("--out", type=Path, required=True, metavar="FILE")
     ps.add_argument("--volume-nu", type=float, default=None,
@@ -291,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--volume-noise", type=float, default=0.0)
 
     pt = sub.add_parser("selftest", help="run the simulator-backed oracle suite")
+    pt.set_defaults(run=run_selftest_command)
     pt.add_argument("--strict", action="store_true",
                     help="shrink tolerances 10x (statistical checks are expected to fail, and "
                          "volume_exact, whose integer volume counts put nu 2.7e-10 off)")
@@ -301,11 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return run_analyze(args)
-        if args.command == "simulate":
-            return run_simulate(args)
-        return run_selftest_command(args)
+        return args.run(args)
     except (_CliFailure, MarketRegError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)  # a ValueError is bad input

@@ -15,7 +15,7 @@ whose tail cannot drop below a single observation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .series import (
 
 DEFAULT_BIN_WIDTH = 0.1  # percent; resolves sigma in the 1-3 range with 20-60 bins
 MAX_BINS = 2**22  # 32 MiB per float64 column; the paper's indices need a few hundred
+VARIANCE_FIT_MODES = ("intercept", "origin")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,11 @@ class RegularityReport:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
+    def without_arrays(self) -> RegularityReport:
+        """This report with None in the six fields above, which only the plot files read."""
+        return replace(self, **dict.fromkeys(
+            ("ln_close", "fluctuations", "histogram", "monthly", "volume_t", "ln_volume")))
+
     @property
     def b_hat(self) -> float:
         """Volatility coefficient implied by sigma, in fraction per sqrt(day)."""
@@ -256,23 +262,30 @@ def build_histogram(fluct: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
 
     Uniform bins span [min - width, max + width] so the extreme observations
     sit strictly inside the binned range; bins are left-closed right-open.
-    Raises FluctuationOverflow when that span needs more than MAX_BINS bins.
+    Raises FluctuationOverflow when that span needs more than MAX_BINS bins,
+    or when float64 cannot hold edges that Histogram accepts as uniform: a
+    width far below the spacing of floats near the fluctuations.
     """
     if not 0 < bin_width < math.inf:
         raise ValueError("bin_width must be finite and > 0")
     if len(fluct) < 1:
         raise InsufficientData("cannot bin an empty fluctuation series")
     d = np.asarray(fluct, dtype=float)
-    lo = float(d.min()) - bin_width
-    hi = float(d.max()) + bin_width
+    d_min, d_max = float(d.min()), float(d.max())
+    lo = d_min - bin_width
+    hi = d_max + bin_width
     span = (hi - lo) / bin_width  # checked before ceil, which refuses an infinite span
     if span > MAX_BINS:
-        raise FluctuationOverflow(f"fluctuations from {d.min()}% to {d.max()}% "
+        raise FluctuationOverflow(f"fluctuations from {d_min}% to {d_max}% "
                                   f"need more than {MAX_BINS} bins of {bin_width}%")
     n_bins = math.ceil(span)
     edges = lo + bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(d, bins=edges)
-    return Histogram(edges, counts)
+    try:
+        return Histogram(edges, counts)
+    except ValueError:  # np.histogram's counts are valid, so the edges were refused
+        raise FluctuationOverflow(f"fluctuations from {d_min}% to {d_max}% are too large "
+                                  f"for float64 to space bins of {bin_width}%") from None
 
 
 def fit_gaussian_offset(hist: Histogram, mu: float, sigma: float) -> GaussianOffsetFit:
@@ -311,7 +324,9 @@ def fit_monthly_growth(monthly: MonthlyTable) -> tuple[float, FitResult]:
     return fit.slope, fit
 
 
-def fit_variance_decline(monthly: MonthlyTable, mode: str = "intercept") -> tuple[float, FitResult]:
+def fit_variance_decline(
+    monthly: MonthlyTable, mode: str = VARIANCE_FIT_MODES[0]
+) -> tuple[float, FitResult]:
     """Slope of the within-month variance of ln(close) against the month index.
 
     ``mode="intercept"`` (default) fits var = w * tau + var0; a strictly
@@ -319,7 +334,7 @@ def fit_variance_decline(monthly: MonthlyTable, mode: str = "intercept") -> tupl
     but ``mode="origin"`` is available to reproduce the literal var = w * tau
     reading.
     """
-    if mode not in ("intercept", "origin"):
+    if mode not in VARIANCE_FIT_MODES:
         raise ValueError(f"unknown variance fit mode {mode!r}")
     if len(monthly) < 2:
         raise InsufficientData("need at least 2 monthly aggregates")
@@ -373,7 +388,7 @@ def pearson_correlation(xs, ys) -> float:
 def analyze_index(
     series: DailySeries,
     bin_width: float = DEFAULT_BIN_WIDTH,
-    variance_fit_mode: str = "intercept",
+    variance_fit_mode: str = VARIANCE_FIT_MODES[0],
 ) -> RegularityReport:
     """Run the full estimation pipeline on one index.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import json
@@ -7,7 +8,7 @@ import signal
 import subprocess
 import sys
 import warnings
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ import marketreg
 from marketreg import cli, estimators, report, series
 from marketreg.cli import main
 from marketreg.errors import MarketRegError
-from marketreg.estimators import analyze_index
+from marketreg.estimators import DEFAULT_BIN_WIDTH, VARIANCE_FIT_MODES, analyze_index
 from marketreg.ingest import IngestConfig, parse_daily_path, write_daily_file
+from marketreg.simulate import GbmParams
 from marketreg.report import (
     _display,
     render_report_json,
@@ -237,9 +239,20 @@ class TestAnalyzeCommand:
             args = cli.build_parser().parse_args(["analyze", "--input", str(path), *flags])
             _, _, reports[bool(flags)] = cli._analyze_input(path, IngestConfig(), args)
         arrays = ["ln_close", "fluctuations", "histogram", "monthly", "volume_t", "ln_volume"]
-        assert all(getattr(reports[False], name) is None for name in arrays)
         assert all(getattr(reports[True], name) is not None for name in arrays)
-        assert report_payload([reports[False]]) == report_payload([reports[True]])
+        for stripped in (reports[False], reports[True].without_arrays()):
+            assert all(getattr(stripped, name) is None for name in arrays)
+            assert report_payload([stripped]) == report_payload([reports[True]])
+
+    def test_the_option_defaults_are_the_librarys(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["analyze", "--input", "in.csv"])
+        config = {f.name: getattr(args, f.name) for f in dataclasses.fields(IngestConfig)}
+        assert IngestConfig(**config) == IngestConfig()
+        assert (args.variance_fit, args.bin_width) == (VARIANCE_FIT_MODES[0], DEFAULT_BIN_WIDTH)
+        args = parser.parse_args(["simulate", "--a", "0", "--b", "0", "--s0", "1", "--days", "1",
+                                  "--seed", "0", "--out", "sim.csv"])
+        assert (args.dt, args.decay_to) == (GbmParams.dt, GbmParams.b_end)
 
     def test_missing_file_exits_2_without_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -297,6 +310,23 @@ class TestAnalyzeCommand:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: jump: ") and reason in lines[0]
+        assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("factor", [1e4, 1e13])
+    def test_bins_finer_than_float64_spacing_exit_2_naming_the_input(self, tmp_path, capsys,
+                                                                     factor):
+        # Every close is factor times the last, so every change is the same
+        # huge percentage, and 0.1% bins near it round unevenly (1e4) or onto
+        # each other (1e13). The 23 calendar days fill two months.
+        path = tmp_path / "jump.csv"
+        days = [date(2000, 1, 19) + timedelta(days=k) for k in range(23)]
+        path.write_text("Date,Close\n" + "".join(f"{d},{factor**k!r}\n" for k, d in enumerate(days)))
+        out_dir = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--out", str(out_dir)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: jump: fluctuations from ")
+        assert errors[0].endswith(" are too large for float64 to space bins of 0.1%")
         assert not (out_dir / "report.json").exists()
 
     def test_estimation_error_exits_3_without_report(self, tmp_path, capsys):
@@ -579,6 +609,37 @@ class TestWorkerProcesses:
         # With --plots the child sends analyze_index's result back as it is.
         with pytest.raises(ChildProcessError, match=rf"ended without a result \(exit status {status}\)"):
             main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        assert not out_dir.exists()
+
+    @needs_fork
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_dead_plot_worker_leaves_no_plot_file(self, tmp_path, monkeypatch, workers):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(3)]
+        monkeypatch.setattr(cli, "write_plot_files",
+                            per_process(cli.write_plot_files, lambda *args: os._exit(1)))
+        force_cpus(monkeypatch, workers)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ChildProcessError, match=r"ended without a result \(exit status 1\)"):
+            main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        # in0's share ran in this process; its files go with the failed run.
+        assert list(out_dir.rglob("*.tsv")) == []
+        assert not (out_dir / "report.json").exists()
+
+    @needs_fork
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_parse_error_beats_a_later_dead_worker(self, tmp_path, monkeypatch, capsys,
+                                                     workers):
+        good = simulate_file(tmp_path, name="good.csv", days=1200)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("Date,Close\n2019-01-01,abc\n")
+        monkeypatch.setattr(cli, "analyze_index",
+                            per_process(cli.analyze_index, lambda *args, **kwargs: os._exit(1)))
+        force_cpus(monkeypatch, workers)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, [bad, good, good]), "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 2: unparseable price 'abc'\n"
         assert not out_dir.exists()
 
     @needs_fork

@@ -335,6 +335,14 @@ class TestHistogram:
             with pytest.raises(FluctuationOverflow, match=f"more than {MAX_BINS} bins"):
                 build_histogram(np.array(values), width)
 
+    def test_bins_finer_than_float64_spacing_raise(self):
+        # Near 1e6 the 0.1 steps of the edges round unevenly, and near 1e16
+        # they round onto each other; near 4e5 they stay uniform.
+        for values in ([1e6, 1e6 + 10], [1e16, 1e16 + 10]):
+            with pytest.raises(FluctuationOverflow, match=r"too large for float64 to space bins of 0\.1%"):
+                build_histogram(np.array(values))
+        assert len(build_histogram(np.array([4e5, 4e5 + 10])).counts) == 102
+
     def test_type_invariants(self):
         with pytest.raises(ValueError):
             Histogram((0.0, 1.0, 1.5), (1, 1))  # non-uniform
