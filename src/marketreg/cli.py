@@ -6,6 +6,10 @@ change or its mean square past float64, a histogram past MAX_BINS bins or
 with bins finer than float64 can space, and two inputs whose plot files
 would share a name),
 3 estimation error, 4 selftest failure.
+
+Every command maps an OSError (an unreadable input, an unwritable output, a
+failed fork) to exit 2 in ``main`` alone, printing ``error: <file>: <reason>``,
+or ``error: <reason>`` when it names no file; a dead worker's ChildProcessError is raised.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def _in_processes(work, items: list, n: int) -> list:
             r, w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except BaseException:
                 os.close(r)
                 os.close(w)
                 raise
@@ -101,12 +105,8 @@ def _in_processes(work, items: list, n: int) -> list:
 
 
 def _checked(source, outcome):
-    """``outcome``, unless it is an exception: an OSError exits 2 and a
-    MarketRegError with its own status, each naming ``source``; any other
-    exception, a dead worker's ChildProcessError included, is raised."""
-    if isinstance(outcome, OSError) and not isinstance(outcome, ChildProcessError):
-        reason = "file not found" if isinstance(outcome, FileNotFoundError) else outcome.strerror
-        raise _CliFailure(EXIT_INPUT, f"{source}: {reason}") from None
+    """``outcome``, unless it is an exception: a MarketRegError exits with its
+    own status, naming ``source``; any other exception is raised."""
     if isinstance(outcome, MarketRegError):
         raise _CliFailure(outcome.exit_code, f"{source}: {outcome}") from None
     if isinstance(outcome, Exception):
@@ -162,10 +162,7 @@ def run_analyze(args: argparse.Namespace) -> int:
 
     payload = report_payload(reports)
     plots_dir = args.out / "plots"
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _checked(exc.filename, exc)
+    args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "report.json"
     written = []  # this run's plot files, removed if the run fails
     try:
@@ -173,11 +170,8 @@ def run_analyze(args: argparse.Namespace) -> int:
             plotted = _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n)
             written = [path for paths in plotted if isinstance(paths, list) for path in paths]
             for paths in plotted:
-                _checked(getattr(paths, "filename", None) or plots_dir, paths)
-        try:
-            write_report_atomic(payload, report_path)
-        except OSError as exc:
-            _checked(report_path, exc)
+                _checked(plots_dir, paths)
+        write_report_atomic(payload, report_path)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -291,6 +285,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
+    except ChildProcessError:
+        raise  # a dead worker is a fault of the program, not of its input
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
+        print(f"error: {where}{reason}", file=sys.stderr)
+        return EXIT_INPUT
     except (_CliFailure, MarketRegError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)  # a ValueError is bad input

@@ -96,6 +96,11 @@ class Histogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
+def _unit_gaussian(d, mu: float, sigma: float):
+    """The Gaussian factor exp(-(d - mu)^2 / (2 sigma^2)) of the histogram model."""
+    return np.exp(-((d - mu) ** 2) / (2.0 * sigma**2))
+
+
 @dataclass(frozen=True)
 class GaussianOffsetFit:
     """Fitted parameters of the unity-floored Gaussian frequency model."""
@@ -112,7 +117,7 @@ class GaussianOffsetFit:
 
     def evaluate(self, delta) -> np.ndarray:
         d = np.asarray(delta, dtype=float)
-        return 1.0 + self.f0 * np.exp(-((d - self.mu) ** 2) / (2.0 * self.sigma**2))
+        return 1.0 + self.f0 * _unit_gaussian(d, self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,7 @@ def fit_gaussian_offset(hist: Histogram, mu: float, sigma: float) -> GaussianOff
     window = slice(occupied[0], occupied[-1] + 1)  # first to last occupied bin
     centers = hist.centers()[window]
     counts = hist.counts[window]
-    g = np.exp(-((centers - mu) ** 2) / (2.0 * sigma**2))
+    g = _unit_gaussian(centers, mu, sigma)
     denom = _dot(g, g)
     if denom == 0.0:
         raise DegenerateFit("Gaussian factor vanishes on every occupied bin")

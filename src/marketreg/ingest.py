@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateDate, EmptySeries, MalformedRow, UnknownColumn
-from .series import DailySeries
+from .series import DailySeries, calendar_months
 
 DEFAULT_VOLUME_COLUMN = "Volume"
 ISO_DATE_FORMAT = "%Y-%m-%d"
@@ -332,15 +332,12 @@ def format_rows(row_format: str, columns):
 
 def _date_cells(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Object columns of "YYYY-MM-" and "DD" strings that together spell each
-    of the increasing ``dates`` in ISO form. Only the first day of each month
-    is cast to text; every row takes its month's prefix and one of 31 day
-    strings."""
-    months = dates.astype("datetime64[M]")
-    new_month = np.empty(len(dates), dtype=bool)
-    new_month[:1] = True
-    np.not_equal(months[1:], months[:-1], out=new_month[1:])
-    prefixes = np.array([m + "-" for m in months[new_month].astype(str).tolist()], dtype=object)
-    return prefixes[np.cumsum(new_month) - 1], _DAY_CELLS[(dates - months).astype(np.int64)]
+    of ``dates`` in ISO form. Each calendar month is cast to text once; every
+    row takes its month's prefix and one of 31 day strings."""
+    keys, group, _ = calendar_months(dates)
+    months = keys.astype("datetime64[M]")
+    prefixes = np.array([m + "-" for m in months.astype(str).tolist()], dtype=object)
+    return prefixes[group], _DAY_CELLS[(dates - months[group]).astype(np.int64)]
 
 
 def write_daily_file(series: DailySeries, dest) -> None:

@@ -14,6 +14,7 @@ plotting tool can redraw the six standard views.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import asdict
@@ -99,23 +100,29 @@ def render_report_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def write_report_atomic(payload: dict, out_path: Path) -> None:
-    """Write report.json so that no partial file survives an error.
-
-    The file is created with the umask's mode, as the plot files are."""
-    out_path = Path(out_path)
-    text = render_report_json(payload)
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text ``chunks`` to a fresh file beside ``path`` and rename it
+    over ``path``, so that no partial file survives an error. An OSError names ``path``."""
     # A fresh random name; mode "x" refuses to open a file that already exists.
-    tmp_name = out_path.with_name(f".report-{os.urandom(8).hex()}.json")
-    fh = open(tmp_name, "x", encoding="utf-8")
+    tmp_name = path.with_name(f".{path.name}-{os.urandom(8).hex()}")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp_name, out_path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        fh = open(tmp_name, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp_name, path)
+        except BaseException:
+            tmp_name.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        del exc.filename2  # os.replace names the temporary file first, path second
         raise
+
+
+def write_report_atomic(payload: dict, out_path: Path) -> None:
+    """Write report.json so that no partial file survives an error."""
+    _write_atomic(Path(out_path), [render_report_json(payload)])
 
 
 def _safe_name(name: str) -> str:
@@ -134,17 +141,11 @@ def check_plot_stems(sources: list, index_names: list[str]) -> None:
 
 def _write_tsv(path: Path, comments: list[str], header: list[str], columns: list) -> None:
     # Each column is a numpy array, or a str that is the same cell on every row
-    # and goes into the row format once. A failed write removes its partial file.
+    # and goes into the row format once.
     cells = ["%s" if isinstance(c, np.ndarray) else c.replace("%", "%%") for c in columns]
     varying = [c for c in columns if isinstance(c, np.ndarray)]
-    fh = path.open("w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write("".join(f"# {c}\n" for c in comments) + "\t".join(header) + "\n")
-            fh.writelines(format_rows("\t".join(cells) + "\n", varying))
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    head = "".join(f"# {c}\n" for c in comments) + "\t".join(header) + "\n"
+    _write_atomic(path, itertools.chain([head], format_rows("\t".join(cells) + "\n", varying)))
 
 
 def write_plot_files(report: RegularityReport, out_dir: Path) -> list[Path]:

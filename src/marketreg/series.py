@@ -191,6 +191,13 @@ def log_series(series: DailySeries) -> np.ndarray:
     return read_only(np.log(series.close))
 
 
+def calendar_months(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each calendar month's key (months since 1970-01), each row's index
+    into the keys, and each month's number of rows."""
+    months = dates.astype("datetime64[M]").astype(np.int64)
+    return np.unique(months, return_inverse=True, return_counts=True)
+
+
 def monthly_aggregates(series: DailySeries) -> MonthlyTable:
     """Aggregate ln(close) by calendar month.
 
@@ -205,9 +212,7 @@ def monthly_aggregates(series: DailySeries) -> MonthlyTable:
     if len(series) < 2:
         raise InsufficientData("need at least 2 records to aggregate monthly")
     ln_close = series.ln_close
-    # Months since 1970-01.
-    months = series.dates.astype("datetime64[M]").astype(np.int64)
-    keys, group, n_days = np.unique(months, return_inverse=True, return_counts=True)
+    keys, group, n_days = calendar_months(series.dates)
     mean = np.bincount(group, weights=ln_close) / n_days
     dev = ln_close - mean[group]
     std = np.sqrt(np.bincount(group, weights=dev * dev) / n_days)  # population, ddof=0

@@ -99,6 +99,21 @@ class TestReportPayload:
         assert r is not None and -1.0 <= r <= 1.0
 
 
+def full_disk_on_third_file(monkeypatch) -> list:
+    """Make the third plot file of the process fail part-way, as on a full
+    disk, after its rows were formatted; returns the list of format calls."""
+    calls, format_rows = [], report.format_rows
+
+    def rows_then_full_disk(row_format, columns):
+        calls.append(row_format)
+        yield from format_rows(row_format, columns)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(report, "format_rows", rows_then_full_disk)
+    return calls
+
+
 class TestPlotFiles:
     def test_monthly_rows_follow_the_report_month_filter(self, tmp_path):
         # The synthetic calendar has 21 trading days a month, so the path
@@ -137,19 +152,40 @@ class TestPlotFiles:
         out_dir = tmp_path / "plots"
         out_dir.mkdir()
         (out_dir / "sim_daily_log_price.tsv").write_text("an earlier run\n")
-        calls, format_rows = [], report.format_rows
-
-        def rows_then_full_disk(row_format, columns):
-            calls.append(row_format)
-            yield from format_rows(row_format, columns)
-            if len(calls) == 3:
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(report, "format_rows", rows_then_full_disk)
+        calls = full_disk_on_third_file(monkeypatch)
         with pytest.raises(OSError, match="No space left"):
             write_plot_files(rep, out_dir)
         assert len(calls) == 3
         assert list(out_dir.iterdir()) == []
+
+    def test_a_failed_analyze_write_names_its_file_and_keeps_the_earlier_one(
+            self, tmp_path, monkeypatch, capsys):
+        path = simulate_file(tmp_path)
+        plots_dir = tmp_path / "out" / "plots"
+        plots_dir.mkdir(parents=True)
+        failing = plots_dir / "sim_fluctuation_histogram.tsv"
+        failing.write_text("an earlier run\n")
+        calls = full_disk_on_third_file(monkeypatch)
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "out"),
+                     "--plots"]) == 2
+        assert len(calls) == 3
+        assert capsys.readouterr() == ("", f"error: {failing}: No space left on device\n")
+        # The failing view's earlier file is never opened; no temporary name is left.
+        assert [p.name for p in plots_dir.iterdir()] == [failing.name]
+        assert failing.read_text() == "an earlier run\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_a_symlink_at_a_plot_path_is_replaced(self, tmp_path):
+        rep = analyze_index(parse_daily_path(simulate_file(tmp_path)))
+        target = tmp_path / "elsewhere.tsv"
+        target.write_text("not a plot file\n")
+        link = tmp_path / "plots" / "sim_daily_log_price.tsv"
+        link.parent.mkdir()
+        link.symlink_to(target)
+        assert link in write_plot_files(rep, tmp_path / "plots")
+        assert not link.is_symlink()
+        assert target.read_text() == "not a plot file\n"
 
     def test_volume_file_skipped_without_volume(self, tmp_path):
         path = simulate_file(tmp_path, with_volume=False)
@@ -522,6 +558,21 @@ class TestWorkerProcesses:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    def test_a_failed_fork_exits_2(self, tmp_path, monkeypatch, capsys):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
+
+        def no_more_processes():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_more_processes, raising=False)
+        force_cpus(monkeypatch, 2)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: Resource temporarily unavailable\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_output_path_that_is_not_a_directory_exits_2(self, tmp_path, monkeypatch, capsys,
                                                             workers):
@@ -669,6 +720,16 @@ class TestWorkerProcesses:
 
 
 class TestSimulateCommand:
+    def test_an_output_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        rc = main(["simulate", "--a", "3e-4", "--b", "0.012", "--s0", "1000", "--days", "100",
+                   "--seed", "1", "--out", str(taken / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {taken}: File exists\n")
+        assert taken.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     def test_volume_overflow_exits_2_without_file(self, tmp_path, capsys):
         out = tmp_path / "big.csv"
         rc = main(["simulate", "--a", "0.0005", "--b", "0.015", "--s0", "1000",
