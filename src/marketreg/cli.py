@@ -8,8 +8,9 @@ would share a name),
 3 estimation error, 4 selftest failure.
 
 Every command maps an OSError (an unreadable input, an unwritable output, a
-failed fork) to exit 2 in ``main`` alone, printing ``error: <file>: <reason>``,
-or ``error: <reason>`` when it names no file; a dead worker's ChildProcessError is raised.
+failed fork) to exit 2 in ``main`` alone, printing ``error: <file>: <reason>``
+(of two files, a rename's destination), or ``error: <reason>`` when it names no
+file; a dead worker's ChildProcessError is raised. A failed ``analyze`` changes no file.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import os
 import pickle
+import shutil
 import sys
 from pathlib import Path
 
@@ -82,8 +84,8 @@ def _in_processes(work, items: list, n: int) -> list:
                     for fh in pipes.values():
                         fh.close()
                     result = [_outcome(work, item) for item in items[k::n]]
-                    with open(w, "wb") as out:  # protocol 5 keeps arrays read-only
-                        pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+                    with open(w, "wb") as out:
+                        pickle.dump(result, out)
                     code = 0
                 finally:
                     os._exit(code)
@@ -114,21 +116,25 @@ def _checked(source, outcome):
     return outcome
 
 
-def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Namespace) -> tuple:
-    """(index name, length, report) of one input. A parse error is raised and
-    an analysis error takes the report's place, so that the caller can raise
-    errors in input order. Without ``--plots`` the report's plot arrays are
-    None, so that a worker does not send them back."""
+def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Namespace,
+                   stage: Path) -> tuple:
+    """(index name, length, report or analysis error, plot files or write error)
+    of one input. A parse error is raised and the other errors take their
+    results' places, so that the caller can raise errors in input order. The
+    report carries no plot arrays, since the plot files are written here, into
+    ``stage``; a write error names the file's final path in ``--out``'s plots."""
     series = parse_daily_path(path, ingest_config)
     try:
         report = analyze_index(
             series, bin_width=args.bin_width, variance_fit_mode=args.variance_fit
         )
-        if not args.plots:
-            report = report.without_arrays()
     except Exception as exc:
-        report = exc
-    return series.index_name, len(series), report
+        return series.index_name, len(series), exc, []
+    staged = _outcome(lambda rep: write_plot_files(rep, stage), report) if args.plots else []
+    if isinstance(staged, OSError) and staged.filename is not None:
+        staged.filename = os.fspath(staged.filename).replace(
+            os.fspath(stage), os.fspath(args.out / "plots"), 1)
+    return series.index_name, len(series), report.without_arrays(), staged
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -136,46 +142,51 @@ def run_analyze(args: argparse.Namespace) -> int:
     on request, the six plot-ready TSV files per index.
 
     The inputs are shared round-robin between this process and forked
-    children, one process per usable CPU; errors, warnings and files come out
-    as they would from a single process working through the inputs in order.
+    children, one process per usable CPU, in one phase: each process parses,
+    analyzes and writes its inputs' plot files into a private directory
+    ``.plots-<hex>`` of ``--out``. Errors, warnings and files come out as they
+    would from a single process working through the inputs in order. Only
+    when every input has succeeded are the plot files renamed into ``plots``;
+    a failed run removes them, and every directory of ``--out`` it created.
     """
     ingest_config = IngestConfig(**{f.name: getattr(args, f.name)
                                     for f in dataclasses.fields(IngestConfig)})
-    n = _process_count(len(args.input))
-    outcomes = _in_processes(lambda path: _analyze_input(path, ingest_config, args), args.input, n)
-
-    for path, outcome in zip(args.input, outcomes):
-        _checked(path, outcome)
-
-    for name, length, _ in outcomes:
-        if length < SHORT_SERIES_WARNING:
-            print(
-                f"warning: {name}: only {length} trading days; "
-                f"estimates are noisy below {SHORT_SERIES_WARNING}",
-                file=sys.stderr,
-            )
-
     if args.plots:
-        check_plot_stems(args.input, [name for name, _, _ in outcomes])
-
-    reports = [_checked(name, report) for name, _, report in outcomes]
-
-    payload = report_payload(reports)
+        check_plot_stems(args.input)
+    created = [p for p in (args.out, *args.out.parents) if not os.path.exists(p)]
+    stage = args.out / f".plots-{os.urandom(8).hex()}"
     plots_dir = args.out / "plots"
-    args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "report.json"
-    written = []  # this run's plot files, removed if the run fails
+    renamed = []  # this run's files in plots_dir, removed if the run fails
     try:
+        outcomes = _in_processes(lambda path: _analyze_input(path, ingest_config, args, stage),
+                                 args.input, _process_count(len(args.input)))
+        for path, outcome in zip(args.input, outcomes):
+            _checked(path, outcome)
+        for name, length, _, _ in outcomes:
+            if length < SHORT_SERIES_WARNING:
+                print(
+                    f"warning: {name}: only {length} trading days; "
+                    f"estimates are noisy below {SHORT_SERIES_WARNING}",
+                    file=sys.stderr,
+                )
+        payload = report_payload([_checked(name, report) for name, _, report, _ in outcomes])
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.plots:
-            plotted = _in_processes(lambda rep: write_plot_files(rep, plots_dir), reports, n)
-            written = [path for paths in plotted if isinstance(paths, list) for path in paths]
-            for paths in plotted:
-                _checked(plots_dir, paths)
+            plots_dir.mkdir(exist_ok=True)
+        staged = [path for _, _, _, paths in outcomes for path in _checked(plots_dir, paths)]
+        for path in staged:
+            os.replace(path, plots_dir / path.name)
+            renamed.append(plots_dir / path.name)
         write_report_atomic(payload, report_path)
     except BaseException:
-        for path in written:
+        for path in renamed:
             path.unlink(missing_ok=True)
+        for directory in created[-1:]:  # the outermost one this run created
+            shutil.rmtree(directory, ignore_errors=True)
         raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
     rows = [{"index": entry["index_name"], **entry["display"]} for entry in payload["indices"]]
     for cells in [{column: column for column in _TABLE}, *rows]:
@@ -288,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     except ChildProcessError:
         raise  # a dead worker is a fault of the program, not of its input
     except OSError as exc:
-        where = "" if exc.filename is None else f"{exc.filename}: "
+        name = exc.filename if exc.filename2 is None else exc.filename2  # a rename's destination
+        where = "" if name is None else f"{name}: "
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
         print(f"error: {where}{reason}", file=sys.stderr)
         return EXIT_INPUT

@@ -116,7 +116,6 @@ def _write_atomic(path: Path, chunks) -> None:
             raise
     except OSError as exc:
         exc.filename = os.fspath(path)
-        del exc.filename2  # os.replace names the temporary file first, path second
         raise
 
 
@@ -129,14 +128,15 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name) or "index"
 
 
-def check_plot_stems(sources: list, index_names: list[str]) -> None:
-    """Raise PlotNameCollision if two indices would write plot files under one stem."""
+def check_plot_stems(paths: list) -> None:
+    """Raise PlotNameCollision if two input files, each named by its file stem,
+    would write plot files under one stem."""
     seen = {}
-    for source, name in zip(sources, index_names):
-        stem = _safe_name(name)
+    for path in paths:
+        stem = _safe_name(Path(path).stem)
         if stem in seen:
-            raise PlotNameCollision(seen[stem], source, stem)
-        seen[stem] = source
+            raise PlotNameCollision(seen[stem], path, stem)
+        seen[stem] = path
 
 
 def _write_tsv(path: Path, comments: list[str], header: list[str], columns: list) -> None:

@@ -28,6 +28,15 @@ from marketreg.report import (
 )
 
 
+@pytest.fixture(autouse=True)
+def no_leftovers(tmp_path):
+    """After every test: no child process is left, and no staging directory."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.rglob(".plots-*")) == []
+
+
 def simulate_file(tmp_path, name="sim.csv", seed=321, days=2520, with_volume=True, extra=()):
     out = tmp_path / name
     argv = [
@@ -266,19 +275,20 @@ class TestAnalyzeCommand:
         plots = list((out_dir / "plots").glob("*.tsv"))
         assert len(plots) == 6
 
-    def test_without_plots_the_report_keeps_no_plot_arrays(self, tmp_path):
-        # A worker sends its reports back through a pipe; without --plots
-        # nothing reads the arrays, so they are not sent.
+    def test_an_inputs_report_keeps_no_plot_arrays(self, tmp_path):
+        # A worker sends its reports back through a pipe; it writes the plot
+        # files itself, so nothing reads the arrays after it.
         path = simulate_file(tmp_path)
-        reports = {}
-        for flags in ([], ["--plots"]):
-            args = cli.build_parser().parse_args(["analyze", "--input", str(path), *flags])
-            _, _, reports[bool(flags)] = cli._analyze_input(path, IngestConfig(), args)
+        full = analyze_index(parse_daily_path(path))
         arrays = ["ln_close", "fluctuations", "histogram", "monthly", "volume_t", "ln_volume"]
-        assert all(getattr(reports[True], name) is not None for name in arrays)
-        for stripped in (reports[False], reports[True].without_arrays()):
+        assert all(getattr(full, name) is not None for name in arrays)
+        for flags, n_files in (([], 0), (["--plots"], 6)):
+            args = cli.build_parser().parse_args(["analyze", "--input", str(path), *flags])
+            _, _, stripped, staged = cli._analyze_input(path, IngestConfig(), args,
+                                                        tmp_path / "stage")
             assert all(getattr(stripped, name) is None for name in arrays)
-            assert report_payload([stripped]) == report_payload([reports[True]])
+            assert report_payload([stripped]) == report_payload([full])
+            assert len(staged) == n_files
 
     def test_the_option_defaults_are_the_librarys(self):
         parser = cli.build_parser()
@@ -443,12 +453,6 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on t
 
 
 class TestWorkerProcesses:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, capsys):
         # The second input is short enough to be warned about.
         paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=900 if k == 1 else 1200,
@@ -466,7 +470,7 @@ class TestWorkerProcesses:
             assert main(["analyze", "--input", *map(str, paths), "--out", str(out_dir),
                          "--plots"]) == 0
             if real_fork:
-                assert len(forks) == 2 * (workers - 1)  # children of both phases
+                assert len(forks) == workers - 1  # one phase
             files = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*.tsv")}
             files["report.json"] = (out_dir / "report.json").read_bytes()
             captured = capsys.readouterr()
@@ -504,15 +508,16 @@ class TestWorkerProcesses:
         first = simulate_file(tmp_path, name="x/sp.csv", seed=1, days=1200)
         short = simulate_file(tmp_path, name="short.csv", days=30, with_volume=False)
         second = simulate_file(tmp_path, name="y/sp.csv", seed=2, days=1200)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("analyze forked"), raising=False)
         force_cpus(monkeypatch, workers)
         out_dir = tmp_path / "out"
         capsys.readouterr()
         rc = main(["analyze", "--input", *map(str, [first, short, second]), "--out", str(out_dir),
                    "--plots"])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("warning: short: only 30 trading days")
-        assert err[1:] == [f"error: {first} and {second} would both write plot files named sp_*.tsv"]
+        # Refused before any input is read: no warning about the short one.
+        assert capsys.readouterr().err == (
+            f"error: {first} and {second} would both write plot files named sp_*.tsv\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -650,14 +655,14 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("end, status", [
         (lambda *args, **kwargs: os._exit(1), 1),
         (lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
-        (lambda *args, **kwargs: lambda: "a result pickle cannot carry", 1),
+        (lambda *args, **kwargs: dataclasses.replace(
+            analyze_index(*args, **kwargs), errors={"f0": lambda: "pickle cannot carry this"}), 1),
     ], ids=["exit-1", "killed", "unpicklable"])
     def test_a_child_without_a_result_raises(self, tmp_path, monkeypatch, end, status):
         paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(3)]
         monkeypatch.setattr(cli, "analyze_index", per_process(cli.analyze_index, end))
         force_cpus(monkeypatch, 3)
         out_dir = tmp_path / "out"
-        # With --plots the child sends analyze_index's result back as it is.
         with pytest.raises(ChildProcessError, match=rf"ended without a result \(exit status {status}\)"):
             main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
         assert not out_dir.exists()
@@ -675,6 +680,75 @@ class TestWorkerProcesses:
         # in0's share ran in this process; its files go with the failed run.
         assert list(out_dir.rglob("*.tsv")) == []
         assert not (out_dir / "report.json").exists()
+
+    @needs_fork
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_run_changes_no_file(self, tmp_path, monkeypatch, capsys, workers):
+        # An earlier run from other paths under the same names fills out/.
+        def inputs(folder, first_seed):
+            return [str(simulate_file(tmp_path / folder, name=f"in{k}.csv", seed=first_seed + k,
+                                      days=1200)) for k in range(3)]
+
+        out_dir = tmp_path / "out"
+        assert main(["analyze", "--input", *inputs("earlier", 11), "--out", str(out_dir),
+                     "--plots"]) == 0
+        paths = inputs("now", 1)
+        before = {p: p.read_bytes() if p.is_file() else None for p in out_dir.rglob("*")}
+        assert len(before) == 3 * 6 + 2  # the plot files, plots/ and report.json
+        real_fork, write_plot_files = os.fork, cli.write_plot_files
+
+        def fork_failing_at(position):
+            forks = []
+
+            def fork():
+                forks.append(1)
+                if len(forks) == position:
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return real_fork()
+            return fork
+
+        def stage_then_die(*args):
+            write_plot_files(*args)
+            os._exit(1)
+
+        failures = [("fork", position) for position in range(1, workers)]
+        failures += [("full disk", None)] + [("dead worker", None)] * (workers > 1)
+        force_cpus(monkeypatch, workers)
+        for failure, position in failures:
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                if failure == "fork":
+                    patch.setattr(os, "fork", fork_failing_at(position))
+                elif failure == "full disk":
+                    full_disk_on_third_file(patch)
+                else:
+                    patch.setattr(cli, "write_plot_files",
+                                  per_process(write_plot_files, stage_then_die))
+                try:
+                    rc = main(["analyze", "--input", *paths, "--out", str(out_dir), "--plots"])
+                except ChildProcessError:
+                    rc = "dead worker"
+            refused = out_dir / "plots" / "in0_fluctuation_histogram.tsv"
+            assert (rc, capsys.readouterr().err) == {
+                "fork": (2, "error: Resource temporarily unavailable\n"),
+                "full disk": (2, f"error: {refused}: No space left on device\n"),
+                "dead worker": ("dead worker", ""),
+            }[failure]
+            after = {p: p.read_bytes() if p.is_file() else None for p in out_dir.rglob("*")}
+            assert after == before, (failure, position)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_run_leaves_no_directory_it_made(self, tmp_path, monkeypatch, capsys,
+                                                      workers):
+        paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
+        full_disk_on_third_file(monkeypatch)
+        force_cpus(monkeypatch, workers)
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, paths), "--out", str(tmp_path / "a" / "b"),
+                   "--plots"])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(": No space left on device\n")
+        assert not (tmp_path / "a").exists()
 
     @needs_fork
     @pytest.mark.parametrize("workers", [2, 3])
