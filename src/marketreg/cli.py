@@ -10,7 +10,7 @@ would share a name),
 Every command maps an OSError (an unreadable input, an unwritable output, a
 failed fork) to exit 2 in ``main`` alone, printing ``error: <file>: <reason>``
 (of two files, a rename's destination), or ``error: <reason>`` when it names no
-file; a dead worker's ChildProcessError is raised. A failed ``analyze`` changes no file.
+file; a dead worker's ChildProcessError is raised. A failed ``analyze`` leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .errors import MarketRegError
-from .estimators import DEFAULT_BIN_WIDTH, VARIANCE_FIT_MODES, analyze_index
+from .estimators import DEFAULT_BIN_WIDTH, VARIANCE_FIT_MODES, analyze_index, check_bin_width
 from .ingest import IngestConfig, parse_daily_path, write_daily_file
 from .report import check_plot_stems, report_payload, write_plot_files, write_report_atomic
 from .simulate import GbmParams, simulate_gbm, simulate_volume
@@ -122,7 +122,7 @@ def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Names
     of one input. A parse error is raised and the other errors take their
     results' places, so that the caller can raise errors in input order. The
     report carries no plot arrays, since the plot files are written here, into
-    ``stage``; a write error names the file's final path in ``--out``'s plots."""
+    ``stage``; a write error names the path it would have in ``plots``, the stage's parent."""
     series = parse_daily_path(path, ingest_config)
     try:
         report = analyze_index(
@@ -133,7 +133,7 @@ def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Names
     staged = _outcome(lambda rep: write_plot_files(rep, stage), report) if args.plots else []
     if isinstance(staged, OSError) and staged.filename is not None:
         staged.filename = os.fspath(staged.filename).replace(
-            os.fspath(stage), os.fspath(args.out / "plots"), 1)
+            os.fspath(stage), os.fspath(stage.parent), 1)
     return series.index_name, len(series), report.without_arrays(), staged
 
 
@@ -144,18 +144,19 @@ def run_analyze(args: argparse.Namespace) -> int:
     The inputs are shared round-robin between this process and forked
     children, one process per usable CPU, in one phase: each process parses,
     analyzes and writes its inputs' plot files into a private directory
-    ``.plots-<hex>`` of ``--out``. Errors, warnings and files come out as they
-    would from a single process working through the inputs in order. Only
+    ``plots/.stage-<hex>`` of ``--out``. Errors, warnings and files come out
+    as they would from one process working through the inputs in order. Only
     when every input has succeeded are the plot files renamed into ``plots``;
-    a failed run removes them, and every directory of ``--out`` it created.
+    a failed run removes them and every directory it made, ``plots`` too.
     """
     ingest_config = IngestConfig(**{f.name: getattr(args, f.name)
                                     for f in dataclasses.fields(IngestConfig)})
+    check_bin_width(args.bin_width)
     if args.plots:
         check_plot_stems(args.input)
-    created = [p for p in (args.out, *args.out.parents) if not os.path.exists(p)]
-    stage = args.out / f".plots-{os.urandom(8).hex()}"
     plots_dir = args.out / "plots"
+    created = [p for p in (plots_dir, args.out, *args.out.parents) if not os.path.exists(p)]
+    stage = plots_dir / f".stage-{os.urandom(8).hex()}"
     report_path = args.out / "report.json"
     renamed = []  # this run's files in plots_dir, removed if the run fails
     try:

@@ -262,6 +262,12 @@ def fluctuation_moments(fluct: np.ndarray) -> tuple[float, float]:
     return mu, math.sqrt(variance)
 
 
+def check_bin_width(bin_width: float) -> None:
+    """Raise ValueError unless ``bin_width`` is finite and positive."""
+    if not 0 < bin_width < math.inf:
+        raise ValueError("bin_width must be finite and > 0")
+
+
 def build_histogram(fluct: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> Histogram:
     """Unnormalized frequency distribution of the fluctuations.
 
@@ -271,8 +277,7 @@ def build_histogram(fluct: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     or when float64 cannot hold edges that Histogram accepts as uniform: a
     width far below the spacing of floats near the fluctuations.
     """
-    if not 0 < bin_width < math.inf:
-        raise ValueError("bin_width must be finite and > 0")
+    check_bin_width(bin_width)
     if len(fluct) < 1:
         raise InsufficientData("cannot bin an empty fluctuation series")
     d = np.asarray(fluct, dtype=float)

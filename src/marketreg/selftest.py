@@ -67,16 +67,8 @@ def _exact_exponential_series(alpha: float, n_days: int, s0: float = 1000.0) -> 
     return DailySeries(synthetic_days(n_days), closes, index_name="exact-exponential")
 
 
-def run_selftest(
-    seed: int | None = None,
-    tolerance_scale: float = 1.0,
-    drift_injection: float = 0.0,
-) -> list[CheckResult]:
-    """Run every oracle check and return one result per check.
-
-    ``drift_injection`` is a test hook: it offsets the recovered daily growth
-    before comparison so that a deliberate mismatch fails the named check.
-    """
+def run_selftest(seed: int | None = None, tolerance_scale: float = 1.0) -> list[CheckResult]:
+    """Run every oracle check and return one result per check."""
     seed = default_seed() if seed is None else seed
     scale = tolerance_scale
     results: list[CheckResult] = []
@@ -100,8 +92,7 @@ def run_selftest(
     delta_mean_tol = 3.0 * rep.sigma / math.sqrt(params.n_days - 1) * scale
     w_stderr = rep.diagnostics["variance_decline"].stderr_slope
     results += [
-        _within("gbm_drift", rep.a + drift_injection, "{:.5f} %/day", 0.03,
-                3.0 * stderr_pct * scale, ".5f"),
+        _within("gbm_drift", rep.a, "{:.5f} %/day", 0.03, 3.0 * stderr_pct * scale, ".5f"),
         _within("gbm_delta_mean", rep.mu, "{:.5f} %", 0.03, delta_mean_tol, ".5f"),
         _within("gbm_delta_std", rep.sigma, "{:.5f} %", 1.2, 0.05 * scale, ".5f", relative=True),
         _within("variance_flat", rep.w, "{:+.3e} /month", 0.0, 3.0 * w_stderr * scale, ".3e"),

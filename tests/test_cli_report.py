@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
@@ -26,15 +28,6 @@ from marketreg.report import (
     report_payload,
     write_plot_files,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_leftovers(tmp_path):
-    """After every test: no child process is left, and no staging directory."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert list(tmp_path.rglob(".plots-*")) == []
 
 
 def simulate_file(tmp_path, name="sim.csv", seed=321, days=2520, with_volume=True, extra=()):
@@ -452,6 +445,47 @@ def per_process(in_parent, in_children):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 
 
+def fork_failing_at(position: int):
+    """A stand-in ``os.fork`` whose ``position``-th call fails as on a full process table."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == position:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+    return fork
+
+
+def stage_then_die(*args):
+    """A plot writer that writes its files, then ends its process without a result."""
+    write_plot_files(*args)
+    os._exit(1)
+
+
+def analyze_through_a_plots_link(tmp_path, capsys, target):
+    """Run ``analyze --plots`` into an ``out/plots`` that links to ``target``
+    and into a plain one, and check that both write the same files and print
+    the same lines."""
+    paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
+    runs = []
+    for name in ("plain", "linked"):
+        out_dir = tmp_path / name
+        if name == "linked":
+            out_dir.mkdir()
+            (out_dir / "plots").symlink_to(target, target_is_directory=True)
+        capsys.readouterr()
+        assert main(["analyze", "--input", *map(str, paths), "--out", str(out_dir),
+                     "--plots"]) == 0
+        files = {p.name: p.read_bytes() for p in (out_dir / "plots").iterdir()}
+        files["report.json"] = (out_dir / "report.json").read_bytes()
+        captured = capsys.readouterr()
+        runs.append((files, captured.out.replace(str(out_dir), "OUT"), captured.err))
+    assert len(runs[0][0]) == 2 * 6 + 1
+    assert runs[0] == runs[1]
+    assert (tmp_path / "linked" / "plots").is_symlink()
+
+
 class TestWorkerProcesses:
     def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, capsys):
         # The second input is short enough to be warned about.
@@ -524,7 +558,9 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("option, message", [
         (["--delimiter", ";;"], "delimiter must be a single printable character"),
         (["--date-column", "Close"], "date_column and price_column must differ"),
-    ], ids=["delimiter", "date-column"])
+        (["--bin-width", "0"], "bin_width must be finite and > 0"),
+        (["--bin-width", "nan"], "bin_width must be finite and > 0"),
+    ], ids=["delimiter", "date-column", "bin-width-0", "bin-width-nan"])
     def test_a_bad_ingest_config_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                             workers, option, message):
         paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
@@ -649,7 +685,7 @@ class TestWorkerProcesses:
         capsys.readouterr()
         assert main(["analyze", "--input", str(path), "--out", str(out_dir), "--plots"]) == 2
         assert capsys.readouterr().err == f"error: {out_dir / 'report.json'}: Is a directory\n"
-        assert list((out_dir / "plots").iterdir()) == []
+        assert [p.name for p in out_dir.iterdir()] == ["report.json"]  # no plots/ it made
 
     @needs_fork
     @pytest.mark.parametrize("end, status", [
@@ -695,22 +731,6 @@ class TestWorkerProcesses:
         paths = inputs("now", 1)
         before = {p: p.read_bytes() if p.is_file() else None for p in out_dir.rglob("*")}
         assert len(before) == 3 * 6 + 2  # the plot files, plots/ and report.json
-        real_fork, write_plot_files = os.fork, cli.write_plot_files
-
-        def fork_failing_at(position):
-            forks = []
-
-            def fork():
-                forks.append(1)
-                if len(forks) == position:
-                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-                return real_fork()
-            return fork
-
-        def stage_then_die(*args):
-            write_plot_files(*args)
-            os._exit(1)
-
         failures = [("fork", position) for position in range(1, workers)]
         failures += [("full disk", None)] + [("dead worker", None)] * (workers > 1)
         force_cpus(monkeypatch, workers)
@@ -736,6 +756,67 @@ class TestWorkerProcesses:
             }[failure]
             after = {p: p.read_bytes() if p.is_file() else None for p in out_dir.rglob("*")}
             assert after == before, (failure, position)
+
+    @needs_fork
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_run_leaves_no_plots_directory_it_made(self, tmp_path, monkeypatch, workers):
+        paths = [str(simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200))
+                 for k in range(3)]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        failures = [("fork", position) for position in range(1, workers)]
+        failures += [("full disk", None)] + [("dead worker", None)] * (workers > 1)
+        failures += [("report", None)]
+        force_cpus(monkeypatch, workers)
+        for failure, position in failures:
+            with monkeypatch.context() as patch:
+                if failure == "fork":
+                    patch.setattr(os, "fork", fork_failing_at(position))
+                elif failure == "full disk":
+                    full_disk_on_third_file(patch)
+                elif failure == "dead worker":
+                    patch.setattr(cli, "write_plot_files",
+                                  per_process(write_plot_files, stage_then_die))
+                else:
+                    (out_dir / "report.json").mkdir()
+                try:
+                    rc = main(["analyze", "--input", *paths, "--out", str(out_dir), "--plots"])
+                except ChildProcessError:
+                    rc = "dead worker"
+            assert rc == ("dead worker" if failure == "dead worker" else 2)
+            left = ["report.json"] if failure == "report" else []
+            assert [p.name for p in out_dir.iterdir()] == left, (failure, position)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plots_linked_across_devices_are_written_through_the_link(
+            self, tmp_path, monkeypatch, capsys, workers):
+        # A stand-in rename refuses, as the kernel does, to move a file between
+        # the link's target and anywhere else.
+        target = tmp_path / "elsewhere"
+        target.mkdir()
+        replace = os.replace
+
+        def replace_within_one_device(src, dst):
+            if sum(target in Path(p).resolve().parents for p in (src, dst)) == 1:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_within_one_device)
+        force_cpus(monkeypatch, workers)
+        analyze_through_a_plots_link(tmp_path, capsys, target)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plots_linked_to_a_tmpfs_are_written_through_the_link(
+            self, tmp_path, monkeypatch, capsys, workers):
+        shm = Path("/dev/shm")
+        if not shm.is_dir() or shm.stat().st_dev == tmp_path.stat().st_dev:
+            pytest.skip("needs /dev/shm on another file system than the temporary directory")
+        target = Path(tempfile.mkdtemp(dir=shm))
+        try:
+            force_cpus(monkeypatch, workers)
+            analyze_through_a_plots_link(tmp_path, capsys, target)
+        finally:
+            shutil.rmtree(target)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_run_leaves_no_directory_it_made(self, tmp_path, monkeypatch, capsys,
@@ -994,11 +1075,16 @@ class TestSelftestCommand:
         assert (captured.out, captured.err) == (
             "", "error: seed must be a non-negative integer, got -5\n")
 
-    def test_injected_drift_mismatch_fails_named_check(self):
-        from marketreg.selftest import run_selftest
+    def test_injected_drift_mismatch_fails_named_check(self, monkeypatch):
+        from marketreg import selftest
 
-        results = run_selftest(drift_injection=0.5)
-        failed = [r.name for r in results if not r.passed]
+        def drift_offset(series, **kwargs):
+            # Only the 5,500-day constant-volatility path recovers a wrong drift.
+            rep = analyze_index(series, **kwargs)
+            return dataclasses.replace(rep, a=rep.a + 0.5) if len(series) == 5500 else rep
+
+        monkeypatch.setattr(selftest, "analyze_index", drift_offset)
+        failed = [r.name for r in selftest.run_selftest() if not r.passed]
         assert failed == ["gbm_drift"]
 
 
