@@ -10,7 +10,8 @@ would share a name),
 Every command maps an OSError (an unreadable input, an unwritable output, a
 failed fork) to exit 2 in ``main`` alone, printing ``error: <file>: <reason>``
 (of two files, a rename's destination), or ``error: <reason>`` when it names no
-file; a dead worker's ChildProcessError is raised. A failed ``analyze`` leaves ``--out`` as it was.
+file; a dead worker's ChildProcessError is raised. A failed ``analyze`` prints
+one error, of its first failing input in input order, and leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ def _in_processes(work, items: list, n: int) -> list:
     return [shares[i % n][i // n] for i in range(len(items))]
 
 
-def _checked(source, outcome):
-    """``outcome``, unless it is an exception: a MarketRegError exits with its
-    own status, naming ``source``; any other exception is raised."""
+def _checked(path, outcome):
+    """``outcome``, unless it is an exception, which is raised; a MarketRegError's
+    message first gets ``path``, the input it came from, in front."""
     if isinstance(outcome, MarketRegError):
-        raise _CliFailure(outcome.exit_code, f"{source}: {outcome}") from None
+        outcome.args = (f"{path}: {outcome}",)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -118,36 +119,33 @@ def _checked(source, outcome):
 
 def _analyze_input(path: Path, ingest_config: IngestConfig, args: argparse.Namespace,
                    stage: Path) -> tuple:
-    """(index name, length, report or analysis error, plot files or write error)
-    of one input. A parse error is raised and the other errors take their
-    results' places, so that the caller can raise errors in input order. The
+    """(report, plot files) of one input, raising whatever error it meets. The
     report carries no plot arrays, since the plot files are written here, into
     ``stage``; a write error names the path it would have in ``plots``, the stage's parent."""
-    series = parse_daily_path(path, ingest_config)
+    report = analyze_index(parse_daily_path(path, ingest_config),
+                           bin_width=args.bin_width, variance_fit_mode=args.variance_fit)
     try:
-        report = analyze_index(
-            series, bin_width=args.bin_width, variance_fit_mode=args.variance_fit
-        )
-    except Exception as exc:
-        return series.index_name, len(series), exc, []
-    staged = _outcome(lambda rep: write_plot_files(rep, stage), report) if args.plots else []
-    if isinstance(staged, OSError) and staged.filename is not None:
-        staged.filename = os.fspath(staged.filename).replace(
-            os.fspath(stage), os.fspath(stage.parent), 1)
-    return series.index_name, len(series), report.without_arrays(), staged
+        staged = write_plot_files(report, stage) if args.plots else []
+    except OSError as exc:
+        if exc.filename is not None:
+            exc.filename = os.fspath(exc.filename).replace(
+                os.fspath(stage), os.fspath(stage.parent), 1)
+        raise
+    return report.without_arrays(), staged
 
 
 def run_analyze(args: argparse.Namespace) -> int:
     """Parse and analyze every input, then write report.json (atomically) and,
     on request, the six plot-ready TSV files per index.
 
-    The inputs are shared round-robin between this process and forked
-    children, one process per usable CPU, in one phase: each process parses,
-    analyzes and writes its inputs' plot files into a private directory
-    ``plots/.stage-<hex>`` of ``--out``. Errors, warnings and files come out
-    as they would from one process working through the inputs in order. Only
-    when every input has succeeded are the plot files renamed into ``plots``;
-    a failed run removes them and every directory it made, ``plots`` too.
+    The options and ``--out`` are checked first. The inputs are then shared
+    round-robin between this process and forked children, one process per
+    usable CPU: each parses, analyzes and writes its inputs' plot files into a
+    private directory ``plots/.stage-<hex>`` of ``--out``. The first input, in
+    input order, that fails ends the run, naming its path. Only when every
+    input has succeeded are the plot files renamed into ``plots``, in input
+    order, report.json written and warnings printed; a failed run removes
+    them and every directory it made, ``plots`` too.
     """
     ingest_config = IngestConfig(**{f.name: getattr(args, f.name)
                                     for f in dataclasses.fields(IngestConfig)})
@@ -160,25 +158,17 @@ def run_analyze(args: argparse.Namespace) -> int:
     report_path = args.out / "report.json"
     renamed = []  # this run's files in plots_dir, removed if the run fails
     try:
-        outcomes = _in_processes(lambda path: _analyze_input(path, ingest_config, args, stage),
-                                 args.input, _process_count(len(args.input)))
-        for path, outcome in zip(args.input, outcomes):
-            _checked(path, outcome)
-        for name, length, _, _ in outcomes:
-            if length < SHORT_SERIES_WARNING:
-                print(
-                    f"warning: {name}: only {length} trading days; "
-                    f"estimates are noisy below {SHORT_SERIES_WARNING}",
-                    file=sys.stderr,
-                )
-        payload = report_payload([_checked(name, report) for name, _, report, _ in outcomes])
         args.out.mkdir(parents=True, exist_ok=True)
         if args.plots:
             plots_dir.mkdir(exist_ok=True)
-        staged = [path for _, _, _, paths in outcomes for path in _checked(plots_dir, paths)]
-        for path in staged:
-            os.replace(path, plots_dir / path.name)
-            renamed.append(plots_dir / path.name)
+        outcomes = _in_processes(lambda path: _analyze_input(path, ingest_config, args, stage),
+                                 args.input, _process_count(len(args.input)))
+        results = [_checked(path, outcome) for path, outcome in zip(args.input, outcomes)]
+        payload = report_payload([report for report, _ in results])
+        for _, staged in results:
+            for path in staged:
+                os.replace(path, plots_dir / path.name)
+                renamed.append(plots_dir / path.name)
         write_report_atomic(payload, report_path)
     except BaseException:
         for path in renamed:
@@ -189,6 +179,10 @@ def run_analyze(args: argparse.Namespace) -> int:
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
+    for report, _ in results:
+        if report.n_records < SHORT_SERIES_WARNING:
+            print(f"warning: {report.index_name}: only {report.n_records} trading days; "
+                  f"estimates are noisy below {SHORT_SERIES_WARNING}", file=sys.stderr)
     rows = [{"index": entry["index_name"], **entry["display"]} for entry in payload["indices"]]
     for cells in [{column: column for column in _TABLE}, *rows]:
         print(" ".join(format(cells[column], spec) for column, spec in _TABLE.items()))
@@ -227,12 +221,6 @@ def run_selftest_command(args: argparse.Namespace) -> int:
     results = run_selftest(tolerance_scale=0.1 if args.strict else 1.0)
     print(format_results(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST
-
-
-class _CliFailure(Exception):
-    def __init__(self, exit_code: int, message: str):
-        self.exit_code = exit_code
-        super().__init__(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,11 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dt", type=float, default=GbmParams.dt, help="day fraction per step")
     ps.add_argument("--decay-to", type=float, default=GbmParams.b_end,
                     help="end volatility of a linear decline from --b")
-    ps.add_argument("--out", type=Path, required=True, metavar="FILE")
+    ps.add_argument("--out", type=Path, required=True, metavar="FILE",
+                    help="daily data file to write; its file stem names the index")
     ps.add_argument("--volume-nu", type=float, default=None,
                     help="also emit a volume column growing at this fraction per day")
-    ps.add_argument("--volume-n0", type=float, default=1e6)
-    ps.add_argument("--volume-noise", type=float, default=0.0)
+    ps.add_argument("--volume-n0", type=float, default=1e6,
+                    help="volume on day 0, before noise (default %(default)s)")
+    ps.add_argument("--volume-noise", type=float, default=0.0,
+                    help="standard deviation of the noise on ln(volume) (default %(default)s)")
 
     pt = sub.add_parser("selftest", help="run the simulator-backed oracle suite")
     pt.set_defaults(run=run_selftest_command)
@@ -305,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
         print(f"error: {where}{reason}", file=sys.stderr)
         return EXIT_INPUT
-    except (_CliFailure, MarketRegError, ValueError) as exc:
+    except (MarketRegError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)  # a ValueError is bad input
 

@@ -47,6 +47,8 @@ class IngestConfig:
     def __post_init__(self):
         if self.date_column == self.price_column:
             raise ValueError("date_column and price_column must differ")
+        if self.volume_column in (self.date_column, self.price_column):
+            raise ValueError("volume_column must not be date_column or price_column")
         if len(self.delimiter) != 1 or not self.delimiter.isprintable():
             raise ValueError("delimiter must be a single printable character")
 

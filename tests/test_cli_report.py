@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import errno
 import hashlib
@@ -277,8 +278,7 @@ class TestAnalyzeCommand:
         assert all(getattr(full, name) is not None for name in arrays)
         for flags, n_files in (([], 0), (["--plots"], 6)):
             args = cli.build_parser().parse_args(["analyze", "--input", str(path), *flags])
-            _, _, stripped, staged = cli._analyze_input(path, IngestConfig(), args,
-                                                        tmp_path / "stage")
+            stripped, staged = cli._analyze_input(path, IngestConfig(), args, tmp_path / "stage")
             assert all(getattr(stripped, name) is None for name in arrays)
             assert report_payload([stripped]) == report_payload([full])
             assert len(staged) == n_files
@@ -348,7 +348,7 @@ class TestAnalyzeCommand:
             env={**child_env(), "OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: jump: ") and reason in lines[0]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ") and reason in lines[0]
         assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize("factor", [1e4, 1e13])
@@ -364,7 +364,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(path), "--out", str(out_dir)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
-        assert errors[0].startswith("error: jump: fluctuations from ")
+        assert errors[0].startswith(f"error: {path}: fluctuations from ")
         assert errors[0].endswith(" are too large for float64 to space bins of 0.1%")
         assert not (out_dir / "report.json").exists()
 
@@ -463,6 +463,49 @@ def stage_then_die(*args):
     os._exit(1)
 
 
+def full_disk_on_histogram_of(monkeypatch, stem: str) -> None:
+    """Make the histogram file of index ``stem`` fail part-way, as on a full disk."""
+    write_atomic = report._write_atomic
+
+    def then_full_disk(chunks):
+        yield from chunks
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def write_or_fail(path, chunks):
+        if path.name == f"{stem}_fluctuation_histogram.tsv":
+            chunks = then_full_disk(chunks)
+        write_atomic(path, chunks)
+
+    monkeypatch.setattr(report, "_write_atomic", write_or_fail)
+
+
+def die_on(stem: str):
+    """A stand-in ``analyze_index`` that ends a child process without a
+    result when it reaches index ``stem``."""
+    def analyze_or_die(series, **kwargs):
+        if series.index_name == stem:
+            os._exit(1)
+        return analyze_index(series, **kwargs)
+    return per_process(analyze_index, analyze_or_die)
+
+
+def failure_cases() -> list:
+    """(workers, failure, position) of each failed run: the position of the
+    failing input among three, or for a failed fork, which fork fails. A dead
+    worker is placed on the first or the last input a child handles."""
+    cases = []
+    for workers in (1, 2, 3):
+        for failure in ("parse", "analysis", "full disk"):
+            cases += [(workers, failure, 0), (workers, failure, 2)]
+        if workers > 1:
+            children = [k for k in range(3) if k % workers]
+            cases += [pytest.param(workers, "fork", k, marks=needs_fork)
+                      for k in sorted({1, workers - 1})]
+            cases += [pytest.param(workers, "dead worker", k, marks=needs_fork)
+                      for k in sorted({children[0], children[-1]})]
+    return cases
+
+
 def analyze_through_a_plots_link(tmp_path, capsys, target):
     """Run ``analyze --plots`` into an ``out/plots`` that links to ``target``
     and into a plain one, and check that both write the same files and print
@@ -523,7 +566,7 @@ class TestWorkerProcesses:
         assert cli._process_count(6) == 1
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_a_later_parse_error_beats_an_earlier_analysis_error(self, tmp_path, monkeypatch,
+    def test_an_earlier_analysis_error_beats_a_later_parse_error(self, tmp_path, monkeypatch,
                                                                  capsys, workers):
         short = simulate_file(tmp_path, name="short.csv", days=30, with_volume=False)
         good = simulate_file(tmp_path, name="good.csv", days=1200)
@@ -532,9 +575,91 @@ class TestWorkerProcesses:
         force_cpus(monkeypatch, workers)
         out_dir = tmp_path / "out"
         rc = main(["analyze", "--input", *map(str, [short, good, good, bad]), "--out", str(out_dir)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {bad}: line 2: unparseable price 'abc'\n"
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {short}: need at least 2 monthly aggregates\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers, failure, position", failure_cases(),
+                             ids=lambda v: str(v).replace(" ", "-"))
+    def test_the_first_failing_input_names_the_error(self, tmp_path, monkeypatch, capsys,
+                                                     workers, failure, position):
+        # An earlier run from other paths under the same names fills out/.
+        out_dir = tmp_path / "out"
+        earlier = [simulate_file(tmp_path / "earlier", name=f"in{k}.csv", seed=11 + k, days=1200)
+                   for k in range(3)]
+        assert main(["analyze", "--input", *map(str, earlier), "--out", str(out_dir),
+                     "--plots"]) == 0
+        before = {p: p.read_bytes() if p.is_file() else None for p in out_dir.rglob("*")}
+        # The failing input goes to its place. Where it is not last, the last
+        # input fails in another way; input 1, where free, is short enough to
+        # be warned about.
+        kinds = ["good", "short", "analysis" if failure == "parse" else "parse"]
+        if failure != "fork":
+            kinds[position] = failure
+        paths = [tmp_path / "now" / f"in{k}.csv" for k in range(3)]
+        paths[0].parent.mkdir()
+        for k, (path, kind) in enumerate(zip(paths, kinds)):
+            if kind == "parse":
+                path.write_text("Date,Close\n2019-01-01,abc\n")
+            else:
+                days = {"analysis": 30, "short": 900}.get(kind, 1200)
+                simulate_file(tmp_path / "now", name=path.name, seed=k + 1, days=days)
+        if failure == "fork":
+            monkeypatch.setattr(os, "fork", fork_failing_at(position))
+        elif failure == "full disk":
+            full_disk_on_histogram_of(monkeypatch, f"in{position}")
+        elif failure == "dead worker":
+            monkeypatch.setattr(cli, "analyze_index", die_on(f"in{position}"))
+        force_cpus(monkeypatch, workers)
+        capsys.readouterr()
+        try:
+            rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir), "--plots"])
+        except ChildProcessError:
+            rc = "dead worker"
+        refused = out_dir / "plots" / f"in{position}_fluctuation_histogram.tsv"
+        code, message = {
+            "parse": (2, f"error: {paths[position]}: line 2: unparseable price 'abc'\n"),
+            "analysis": (3, f"error: {paths[position]}: need at least 2 monthly aggregates\n"),
+            "full disk": (2, f"error: {refused}: No space left on device\n"),
+            "fork": (2, "error: Resource temporarily unavailable\n"),
+            "dead worker": ("dead worker", ""),
+        }[failure]
+        assert (rc, capsys.readouterr()) == (code, ("", message))
+        after = {p: p.read_bytes() if p.is_file() else None for p in out_dir.rglob("*")}
+        assert after == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_analysis_error_names_its_input_by_path(self, tmp_path, monkeypatch, capsys,
+                                                       workers):
+        paths = [simulate_file(tmp_path, name="x/sp.csv", seed=1, days=1200),
+                 simulate_file(tmp_path, name="y/sp.csv", seed=2, days=30, with_volume=False)]
+        force_cpus(monkeypatch, workers)
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["analyze", "--input", *map(str, paths), "--out", str(out_dir)])
+        assert (rc, capsys.readouterr()) == (
+            3, ("", f"error: {paths[1]}: need at least 2 monthly aggregates\n"))
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_bad_out_is_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys,
+                                                           workers):
+        bad = [tmp_path / f"bad{k}.csv" for k in range(2)]
+        for path in bad:
+            path.write_text("Date,Close\n2019-01-01,abc\n")
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "plots").write_text("kept\n")
+        monkeypatch.setattr(cli, "parse_daily_path", lambda *args: pytest.fail("an input was read"))
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("analyze forked"), raising=False)
+        force_cpus(monkeypatch, workers)
+        for out_dir, refused, reason in ((taken / "out", taken / "out", "Not a directory"),
+                                         (tmp_path / "out", tmp_path / "out" / "plots", "File exists")):
+            rc = main(["analyze", "--input", *map(str, bad), "--out", str(out_dir), "--plots"])
+            assert (rc, capsys.readouterr()) == (2, ("", f"error: {refused}: {reason}\n"))
+        assert taken.read_text() == (tmp_path / "out" / "plots").read_text() == "kept\n"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["plots"]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_a_plot_name_collision_beats_an_analysis_error(self, tmp_path, monkeypatch, capsys,
@@ -558,9 +683,12 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("option, message", [
         (["--delimiter", ";;"], "delimiter must be a single printable character"),
         (["--date-column", "Close"], "date_column and price_column must differ"),
+        (["--volume-column", "Close"], "volume_column must not be date_column or price_column"),
+        (["--volume-column", "Date"], "volume_column must not be date_column or price_column"),
         (["--bin-width", "0"], "bin_width must be finite and > 0"),
         (["--bin-width", "nan"], "bin_width must be finite and > 0"),
-    ], ids=["delimiter", "date-column", "bin-width-0", "bin-width-nan"])
+    ], ids=["delimiter", "date-column", "volume-column-close", "volume-column-date", "bin-width-0",
+            "bin-width-nan"])
     def test_a_bad_ingest_config_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                             workers, option, message):
         paths = [simulate_file(tmp_path, name=f"in{k}.csv", seed=k + 1, days=1200) for k in range(2)]
@@ -1247,3 +1375,12 @@ class TestArgparseBehaviour:
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])
         assert exc.value.code == 2
+
+    def test_every_option_has_help(self):
+        parser = cli.build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(commands.choices) == ["analyze", "selftest", "simulate"]
+        assert [(name, action.dest) for name, command in commands.choices.items()
+                for action in command._actions if not action.help] == []
+        text = " ".join(commands.choices["simulate"].format_help().split())
+        assert "before noise (default 1000000.0)" in text and "ln(volume) (default 0.0)" in text

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 import warnings
@@ -283,6 +284,10 @@ class TestMoments:
 
 
 class TestHistogram:
+    def test_needs_at_least_one_bin(self):
+        with pytest.raises(ValueError, match="need at least one bin"):
+            Histogram([0.0], [])
+
     def test_single_value(self):
         hist = build_histogram(np.array([0.05]), 0.1)
         assert sum(hist.counts) == 1
@@ -358,6 +363,19 @@ class TestGaussianOffsetFit:
         centers = 0.5 * (edges[:-1] + edges[1:])
         counts = 1.0 + f0 * np.exp(-(centers**2) / 2.0)
         return Histogram(tuple(edges), tuple(counts))
+
+    @pytest.mark.parametrize("sigma, f0, message", [
+        (0.0, 1.0, "sigma must be > 0"),
+        (-1.0, 1.0, "sigma must be > 0"),
+        (1.0, -1.0, "f0 must be >= 0"),
+    ])
+    def test_parameters_are_validated(self, sigma, f0, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianOffsetFit(mu=0.0, sigma=sigma, f0=f0)
+
+    def test_a_gaussian_that_vanishes_on_every_bin_is_degenerate(self):
+        with pytest.raises(DegenerateFit, match="Gaussian factor vanishes on every occupied bin"):
+            fit_gaussian_offset(Histogram([0, 1, 2, 3], [5, 5, 5]), mu=1000.0, sigma=1.0)
 
     def test_exact_amplitude_recovery(self):
         fit = fit_gaussian_offset(self.manufactured(), mu=0.0, sigma=1.0)
@@ -445,6 +463,10 @@ class TestMonthlyFits:
         w, fit = fit_variance_decline(aggs, mode="origin")
         assert w == pytest.approx(5e-4, rel=1e-9)
         assert fit.intercept == 0.0
+
+    def test_variance_decline_needs_two_aggregates(self):
+        with pytest.raises(InsufficientData, match="need at least 2 monthly aggregates"):
+            fit_variance_decline(monthly_table([0], [1.0], [0.0]))
 
     def test_variance_mode_validated(self):
         with pytest.raises(ValueError):
@@ -547,6 +569,12 @@ class TestPearson:
 
 
 class TestAnalyzeIndex:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_report_rejects_a_non_finite_growth_rate(self, value):
+        report = analyze_index(exponential_series(5e-4, 21 * 48))
+        with pytest.raises(ValueError, match="a must be finite"):
+            dataclasses.replace(report, a=value)
+
     def test_noiseless_exponential_report(self):
         report = analyze_index(exponential_series(5e-4, 21 * 48))
         assert report.a == pytest.approx(0.05, abs=1e-9)

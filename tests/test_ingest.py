@@ -376,6 +376,13 @@ class TestColumnPath:
         shuffled = "Date,Close,Volume\n" + "\n".join(lines[15_000:] + lines[:15_000])
         assert _parse(shuffled) == _row_loop(good)
 
+    def test_a_cell_past_the_csv_field_limit_goes_to_the_row_loop(self):
+        text = "Date,Close\n2019-04-01,1\n2019-04-02," + "1" * 200_000 + "\n"
+        assert ingest._parse_columns(text, IngestConfig()) is None
+        with pytest.raises(MalformedRow) as exc:
+            parse_daily_file(text)
+        assert str(exc.value) == "line 3: csv error: field larger than field limit (131072)"
+
     @pytest.fixture
     def without_row_loop(self, monkeypatch):
         def refuse(*args):

@@ -47,6 +47,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             series_from_records(recs)
 
+    def test_series_rejects_dates_past_year_9999(self):
+        dates = np.array(["9999-12-31", "10000-01-01"], dtype="datetime64[D]")
+        message = "dates must lie within 0001-01-01 .. 9999-12-31"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DailySeries(dates, [1.0, 2.0])
+
     def test_series_rejects_empty(self):
         with pytest.raises(ValueError):
             series_from_records(())
